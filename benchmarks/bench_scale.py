@@ -30,7 +30,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --huge          # adds 1M
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke         # CI guard
 
-``--smoke`` runs small points a few times and compares three *time
+``--smoke`` runs small points a few times and compares four *time
 ratios* -- each the median over ``SMOKE_REPEATS`` attempts -- against the
 checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
 
@@ -39,7 +39,12 @@ checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
   full observability stack must stay cheap),
 * ``vector_ratio``: vector / incremental at ``VECTOR_SMOKE_FLOWS`` flows
   (the vector kernel must stay ahead of the scalar incremental path at a
-  size past the auto-select threshold).
+  size past the auto-select threshold),
+* ``echelon_ratio``: echelon / fair at ``ECHELON_SMOKE_FLOWS`` flows, each
+  on the kernel the engine's default mode picks at that size (the
+  scalar scheduler kernels for echelon, the vector max-min kernel for
+  fair): the paper's scheduler -- stage Gamma, MADD pacing and greedy
+  backfill -- must stay within reach of the fair-share baseline.
 
 Ratios are machine-independent to first order, so the step fails only
 when a mode itself regresses (> 2x its baseline ratio), not when CI
@@ -97,6 +102,10 @@ SMOKE_FLOWS = 400
 #: The vector guard runs past the auto-select threshold (2048 flows) so
 #: it measures the kernel the engine would actually pick at this size.
 VECTOR_SMOKE_FLOWS = 4000
+#: The echelon guard's size: enough flows per decision that the
+#: scheduler kernels, not the event loop, set the echelon run time, and
+#: past the auto-select threshold, so fair share runs its vector kernel.
+ECHELON_SMOKE_FLOWS = 4000
 SMOKE_REPEATS = 3
 
 MODES = ("reference", "incremental", "vector")
@@ -206,6 +215,7 @@ def run_once(
     elapsed = time.perf_counter() - start
     return {
         "mode": mode,
+        "scheduler": scheduler,
         "seconds": elapsed,
         "completed": len(trace.flow_records),
         "end_time": trace.end_time,
@@ -372,6 +382,7 @@ def smoke(seed: int, scheduler: str) -> int:
     ratios = []
     instr_ratios = []
     vector_ratios = []
+    echelon_ratios = []
     for attempt in range(SMOKE_REPEATS):
         ref = run_once(SMOKE_FLOWS, "reference", seed=seed, scheduler=scheduler)
         inc = run_once(SMOKE_FLOWS, "incremental", seed=seed, scheduler=scheduler)
@@ -386,6 +397,10 @@ def smoke(seed: int, scheduler: str) -> int:
             VECTOR_SMOKE_FLOWS, "incremental", seed=seed, scheduler=scheduler
         )
         vec = run_once(VECTOR_SMOKE_FLOWS, "vector", seed=seed, scheduler=scheduler)
+        fair = run_once(ECHELON_SMOKE_FLOWS, "vector", seed=seed, scheduler="fair")
+        echelon = run_once(
+            ECHELON_SMOKE_FLOWS, "incremental", seed=seed, scheduler="echelon"
+        )
         problems = _check_equivalent(SMOKE_FLOWS, ref, inc)
         # Instrumentation must observe, never perturb: the instrumented
         # run is the same simulation as the bare incremental one.
@@ -393,6 +408,12 @@ def smoke(seed: int, scheduler: str) -> int:
             "instrumented run: " + p for p in _check_equivalent(SMOKE_FLOWS, inc, obs)
         ]
         problems += _check_equivalent(VECTOR_SMOKE_FLOWS, vec_base, vec)
+        problems += [
+            f"{run['scheduler']} run completed {run['completed']} of "
+            f"{ECHELON_SMOKE_FLOWS} flows"
+            for run in (fair, echelon)
+            if run["completed"] != ECHELON_SMOKE_FLOWS
+        ]
         if problems:
             print(
                 "[bench_scale] smoke equivalence FAILED:\n  " + "\n  ".join(problems),
@@ -402,6 +423,7 @@ def smoke(seed: int, scheduler: str) -> int:
         ratios.append(inc["seconds"] / ref["seconds"])
         instr_ratios.append(obs["seconds"] / inc["seconds"])
         vector_ratios.append(vec["seconds"] / vec_base["seconds"])
+        echelon_ratios.append(echelon["seconds"] / fair["seconds"])
         print(
             f"[bench_scale] smoke attempt {attempt + 1}/{SMOKE_REPEATS}: "
             f"incremental/reference {ratios[-1]:.3f} "
@@ -409,7 +431,9 @@ def smoke(seed: int, scheduler: str) -> int:
             f"instrumented overhead {instr_ratios[-1]:.3f}x "
             f"({obs['seconds']:.3f}s), vector/incremental "
             f"{vector_ratios[-1]:.3f} ({vec['seconds']:.3f}s / "
-            f"{vec_base['seconds']:.3f}s @ n={VECTOR_SMOKE_FLOWS})",
+            f"{vec_base['seconds']:.3f}s @ n={VECTOR_SMOKE_FLOWS}), "
+            f"echelon/fair {echelon_ratios[-1]:.3f} ({echelon['seconds']:.3f}s / "
+            f"{fair['seconds']:.3f}s @ n={ECHELON_SMOKE_FLOWS})",
             flush=True,
         )
     ok = _guard(
@@ -426,6 +450,11 @@ def smoke(seed: int, scheduler: str) -> int:
         "vector kernel (vector/incremental)",
         statistics.median(vector_ratios),
         baseline.get("vector_ratio"),
+    )
+    ok &= _guard(
+        "echelon scheduler (echelon/fair)",
+        statistics.median(echelon_ratios),
+        baseline.get("echelon_ratio"),
     )
     return 0 if ok else 1
 

@@ -8,7 +8,7 @@ from .base import (
     scheduler_names,
 )
 from .cache import MemoizingScheduler
-from .coflow_madd import CoflowMaddScheduler, madd_rates, remaining_gamma
+from .coflow_madd import CoflowMaddScheduler, link_load, madd_rates, remaining_gamma
 from .deadline import EdfFlowScheduler
 from .echelon_madd import ANCHORS, ORDERINGS, EchelonMaddScheduler
 from .fairshare import FairSharingScheduler
@@ -38,6 +38,7 @@ __all__ = [
     "MemoizingScheduler",
     "ORDERINGS",
     "ANCHORS",
+    "link_load",
     "madd_rates",
     "remaining_gamma",
     "PipelineStageSpec",

@@ -13,7 +13,7 @@ EchelonFlow membership and arrangement-derived ideal finish times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.echelonflow import EchelonFlow
 from ..core.flow import FlowState
@@ -75,6 +75,17 @@ class SchedulerView:
 
     def demand_of(self, state: FlowState, weight: float = 1.0) -> FlowDemand:
         return self.network.demand(state.flow.flow_id, weight)
+
+    def fill_order(
+        self, states: Iterable[FlowState]
+    ) -> List[Tuple[int, Tuple[int, ...]]]:
+        """``(flow id, path link columns)`` per state, in the given order:
+        the priority list
+        :func:`~repro.simulator.allocation.greedy_priority_fill` serves."""
+        columns = self.network.columns
+        return [
+            (state.flow.flow_id, columns(state.flow.flow_id)) for state in states
+        ]
 
     def flow_demands(self) -> List[FlowDemand]:
         """Unit-weight demands of every active flow, cached at inject time."""

@@ -14,76 +14,90 @@ On a big switch ``Gamma`` is the classic port-load bound; on general
 topologies we use the equivalent per-link form
 ``Gamma = max_link sum(remaining bytes crossing link) / capacity``.
 
+The kernels run over link *columns* (dense integer link indices the
+network's residual accounting hands out, see
+:class:`~repro.simulator.allocation.LinkAccounting`): a coflow's load is
+built once per decision as a ``{column: bytes}`` map by :func:`link_load`,
+and :func:`remaining_gamma` evaluates it against any capacity list --
+the full capacities for SEBF ordering, the residual left by earlier
+coflows for pacing.
+
 A final work-conserving backfill hands leftover capacity to flows in SEBF
 order so no link idles while a flow wants it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.flow import FlowState
 from ..core.units import EPS
-from ..simulator.allocation import (
-    FlowDemand,
-    greedy_priority_fill,
-    link_capacities,
-)
-from ..simulator.network import NetworkModel
+from ..simulator.allocation import greedy_priority_fill
 from .base import Scheduler, SchedulerView, register_scheduler
 
+#: A load: bytes per link column, in first-crossing order.
+Load = Dict[int, float]
 
-def remaining_gamma(
-    states: List[FlowState],
-    network: NetworkModel,
-    available: Dict[Tuple[str, str], float],
-) -> float:
-    """Bottleneck completion time of a coflow on (residual) capacities.
+
+def link_load(remaining: Sequence[float], columns: Sequence[Sequence[int]]) -> Load:
+    """Remaining bytes per link column over a set of flows.
+
+    ``remaining[i]`` and ``columns[i]`` are flow ``i``'s bytes left and
+    path as link columns. Bytes accumulate in (flow, path position)
+    order, so a flow crossing a link twice counts twice and every build
+    of the same load is bit-identical.
+    """
+    load: Load = {}
+    for left, path in zip(remaining, columns):
+        for column in path:
+            load[column] = load.get(column, 0.0) + left
+    return load
+
+
+def remaining_gamma(load: Load, capacities: Sequence[float]) -> float:
+    """Bottleneck completion time of a load on (residual) capacities.
 
     ``inf`` when some needed link has no residual capacity at all.
     """
-    load: Dict[Tuple[str, str], float] = {}
-    for state in states:
-        for link in network.path(state.flow.flow_id):
-            load[link.key] = load.get(link.key, 0.0) + state.remaining
     gamma = 0.0
-    for key, total in load.items():
-        capacity = available.get(key)
-        if capacity is None:
-            continue
+    for column, total in load.items():
+        capacity = capacities[column]
         if capacity <= EPS:
             return float("inf")
-        gamma = max(gamma, total / capacity)
+        ratio = total / capacity
+        if ratio > gamma:
+            gamma = ratio
     return gamma
 
 
 def madd_rates(
-    states: List[FlowState],
-    network: NetworkModel,
-    available: Dict[Tuple[str, str], float],
+    states: Sequence[FlowState], load: Load, capacities: Sequence[float]
 ) -> Dict[int, float]:
-    """Minimum allocation finishing every flow at the coflow's ``Gamma``."""
-    gamma = remaining_gamma(states, network, available)
-    rates: Dict[int, float] = {}
-    if gamma == float("inf"):
+    """Minimum allocation finishing every flow at the coflow's ``Gamma``.
+
+    ``load`` is the coflow's :func:`link_load`. A finite ``Gamma`` paces
+    every flow however small it is; only ``Gamma == 0`` (nothing left to
+    send) gives rate 0.
+    """
+    gamma = remaining_gamma(load, capacities)
+    if gamma == float("inf") or gamma <= 0.0:
         return {state.flow.flow_id: 0.0 for state in states}
-    for state in states:
-        if gamma <= EPS:
-            rates[state.flow.flow_id] = 0.0
-        else:
-            rates[state.flow.flow_id] = state.remaining / gamma
-    return rates
+    return {state.flow.flow_id: state.remaining / gamma for state in states}
 
 
 def _consume(
     rates: Dict[int, float],
-    network: NetworkModel,
-    available: Dict[Tuple[str, str], float],
+    columns: Sequence[Sequence[int]],
+    residual: List[float],
 ) -> None:
-    for flow_id, rate in rates.items():
-        for link in network.path(flow_id):
-            if link.key in available:
-                available[link.key] = max(0.0, available[link.key] - rate)
+    """Take each flow's rate off its path, clamping at zero.
+
+    ``columns`` is parallel to ``rates``' iteration order.
+    """
+    for rate, path in zip(rates.values(), columns):
+        for column in path:
+            left = residual[column] - rate
+            residual[column] = left if left > 0.0 else 0.0
 
 
 @register_scheduler
@@ -116,26 +130,31 @@ class CoflowMaddScheduler(Scheduler):
 
         # Maintained by the network's residual accounting; a (harmless)
         # superset of the links under the currently-active flows.
-        available = network.link_capacities()
+        capacities = network.column_capacities()
+        columns_of = network.columns
         # SEBF: smallest remaining bottleneck first, on *full* capacities.
+        # Each coflow's load is built once and reused for pacing below.
         keyed = []
         for group_id, states in coflows:
-            gamma = remaining_gamma(states, network, available)
-            keyed.append((gamma, group_id, states))
+            columns = [columns_of(state.flow.flow_id) for state in states]
+            load = link_load([state.remaining for state in states], columns)
+            gamma = remaining_gamma(load, capacities)
+            keyed.append((gamma, group_id, states, columns, load))
         keyed.sort(key=lambda item: (item[0], item[1]))
 
         rates: Dict[int, float] = {}
-        residual = dict(available)
+        residual = list(capacities)
         ordered_states: List[FlowState] = []
-        for _gamma, _group_id, states in keyed:
-            group_rates = madd_rates(states, network, residual)
-            _consume(group_rates, network, residual)
+        for _gamma, _group_id, states, columns, load in keyed:
+            group_rates = madd_rates(states, load, residual)
+            _consume(group_rates, columns, residual)
             rates.update(group_rates)
             ordered_states.extend(
                 sorted(states, key=lambda s: (s.remaining, s.flow.flow_id))
             )
 
         if self.backfill:
-            demands = [view.demand_of(state) for state in ordered_states]
-            rates = greedy_priority_fill(demands, available=residual, base_rates=rates)
+            rates = greedy_priority_fill(
+                view.fill_order(ordered_states), residual, rates
+            )
         return rates

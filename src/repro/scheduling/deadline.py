@@ -40,5 +40,7 @@ class EdfFlowScheduler(Scheduler):
                 deadline = state.start_time  # ungrouped: finish ASAP
             keyed.append((deadline, state.flow.flow_id, state))
         keyed.sort(key=lambda item: item[:2])
-        demands = [view.demand_of(state) for _d, _fid, state in keyed]
-        return greedy_priority_fill(demands)
+        return greedy_priority_fill(
+            view.fill_order(state for _d, _fid, state in keyed),
+            list(view.network.column_capacities()),
+        )

@@ -38,18 +38,25 @@ orderings are provided for ablation E12/E23.
 
 **Work conservation.** A final backfill pass hands leftover capacity to
 flows in schedule order, so pacing never idles a link that has demand.
+
+**Kernels.** Each decision builds every stage's ``{column: bytes}`` load
+once (:func:`~repro.scheduling.coflow_madd.link_load`, over the link
+columns the network's residual accounting numbers) and evaluates it with
+:func:`~repro.scheduling.coflow_madd.remaining_gamma` twice: on the full
+capacities for ordering and on the residual for pacing. Pacing and the
+backfill (:func:`~repro.simulator.allocation.greedy_priority_fill`) then
+update one column-indexed residual list.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.echelonflow import EchelonFlow
 from ..core.flow import FlowState
-from ..core.units import EPS
 from ..simulator.allocation import greedy_priority_fill
-from ..simulator.network import NetworkModel
 from .base import Scheduler, SchedulerView, register_scheduler
-from .coflow_madd import remaining_gamma
+from .coflow_madd import Load, link_load, remaining_gamma
 
 #: Inter-EchelonFlow ordering policies (ablation E12).
 ORDERINGS = ("tardiness", "projected", "hybrid", "tardiness-asc", "sebf", "fifo")
@@ -59,14 +66,31 @@ ANCHORS = ("arrangement", "flow_start")
 
 
 class _Stage:
-    """Flows of one EchelonFlow sharing one arrangement index."""
+    """Flows of one EchelonFlow sharing one arrangement index.
 
-    def __init__(self, deadline: float, states: List[FlowState]) -> None:
+    Each decision reads a flow's state once, into the parallel lists
+    ``flow_ids``, ``remaining`` and ``columns`` (its path as link
+    columns), and builds the stage's load once; Gamma evaluates that
+    load against the full capacities and again on the residual.
+    """
+
+    __slots__ = ("deadline", "flow_ids", "remaining", "columns", "load")
+
+    def __init__(
+        self,
+        deadline: float,
+        flow_ids: List[int],
+        remaining: List[float],
+        columns: List[Tuple[int, ...]],
+    ) -> None:
         self.deadline = deadline
-        self.states = states
+        self.flow_ids = flow_ids
+        self.remaining = remaining
+        self.columns = columns
+        self.load = link_load(remaining, columns)
 
-    def gamma(self, network: NetworkModel, available) -> float:
-        return remaining_gamma(self.states, network, available)
+    def gamma(self, capacities: Sequence[float]) -> float:
+        return remaining_gamma(self.load, capacities)
 
 
 class _Group:
@@ -88,11 +112,20 @@ class _Group:
         #: agent registration); unregistered flows are best-effort.
         self.registered = registered
 
-    def projected_tardiness(self, now: float, network: NetworkModel, available) -> float:
+    def load(self) -> Load:
+        """The whole EchelonFlow's load: every stage, in deadline order."""
+        if len(self.stages) == 1:
+            return self.stages[0].load
+        return link_load(
+            [left for stage in self.stages for left in stage.remaining],
+            [path for stage in self.stages for path in stage.columns],
+        )
+
+    def projected_tardiness(self, now: float, capacities: Sequence[float]) -> float:
         """``max_g (now + Gamma_g - d_g)``: lateness if served alone now."""
         worst = float("-inf")
         for stage in self.stages:
-            gamma = stage.gamma(network, available)
+            gamma = stage.gamma(capacities)
             if gamma == float("inf"):
                 return float("inf")
             worst = max(worst, now + gamma - stage.deadline)
@@ -173,40 +206,74 @@ class EchelonMaddScheduler(Scheduler):
 
     # ------------------------------------------------------------------
 
-    def _deadline_of(self, view: SchedulerView, state: FlowState) -> float:
+    def _deadlines(
+        self, states: List[FlowState], echelonflow: Optional[EchelonFlow]
+    ) -> List[float]:
+        """The stage deadline of each flow of one bucket (``echelonflow``
+        is ``None`` when ungrouped or unregistered): its arrangement ideal
+        finish time (:meth:`SchedulerView.ideal_finish_time`, with the
+        group lookup hoisted out of the per-flow loop), else its start
+        time -- finish-ASAP semantics for flows without a deadline yet."""
         if self.anchor == "flow_start":
-            return state.start_time
-        ideal = view.ideal_finish_time(state)
-        if ideal is None:
-            # Ungrouped (or not-yet-referenced) flows: finish-ASAP semantics.
-            return state.start_time
-        return ideal
+            return [state.start_time for state in states]
+        if echelonflow is not None and echelonflow.reference_time is not None:
+            ideal_of = echelonflow.ideal_finish_time_of
+            ideals = [ideal_of(state.flow) for state in states]
+        else:
+            ideals = [state.ideal_finish_time for state in states]
+        return [
+            state.start_time if ideal is None else ideal
+            for state, ideal in zip(states, ideals)
+        ]
 
     def _build_groups(self, view: SchedulerView) -> List[_Group]:
         groups: List[_Group] = []
+        network = view.network
+        columns_of = network.columns
         # The network's incremental buckets, already sorted by group id
-        # with ungrouped flows last -- the order this loop used to create
-        # by sorting a per-call states_by_group() rebuild.
+        # with ungrouped flows last, each bucket fid-sorted -- so every
+        # stage below lists its flows in fid order too.
         for group_id, states in view.groups():
+            flow_ids = network.group_flow_ids(group_id)
+            echelonflow = (
+                view.echelonflows.get(group_id) if group_id is not None else None
+            )
+            deadlines = self._deadlines(states, echelonflow)
             if group_id is None:
                 # Every ungrouped flow is its own singleton group.
-                for state in states:
-                    deadline = self._deadline_of(view, state)
+                for flow_id, state, deadline in zip(flow_ids, states, deadlines):
+                    stage = _Stage(
+                        deadline, [flow_id], [state.remaining], [columns_of(flow_id)]
+                    )
                     groups.append(
                         _Group(
-                            f"_flow{state.flow.flow_id}",
-                            [_Stage(deadline, [state])],
+                            f"_flow{flow_id}",
+                            [stage],
                             job_id=state.flow.job_id,
                             registered=False,
                         )
                     )
                 continue
-            by_deadline: Dict[float, List[FlowState]] = {}
-            for state in states:
-                deadline = self._deadline_of(view, state)
-                by_deadline.setdefault(deadline, []).append(state)
-            stages = [_Stage(d, members) for d, members in by_deadline.items()]
-            echelonflow = view.echelonflows.get(group_id)
+            if deadlines.count(deadlines[0]) == len(deadlines):
+                # One stage (a Coflow-like or not yet dated EchelonFlow).
+                stages = [
+                    _Stage(
+                        deadlines[0],
+                        list(flow_ids),
+                        [state.remaining for state in states],
+                        [columns_of(flow_id) for flow_id in flow_ids],
+                    )
+                ]
+            else:
+                members: Dict[float, Tuple[List[int], List[float], List]] = {}
+                for flow_id, state, deadline in zip(flow_ids, states, deadlines):
+                    stage_members = members.get(deadline)
+                    if stage_members is None:
+                        stage_members = members[deadline] = ([], [], [])
+                    stage_members[0].append(flow_id)
+                    stage_members[1].append(state.remaining)
+                    stage_members[2].append(columns_of(flow_id))
+                stages = [_Stage(d, *lists) for d, lists in members.items()]
             job_id = echelonflow.job_id if echelonflow is not None else None
             weight = echelonflow.weight if echelonflow is not None else 1.0
             if job_id is None:
@@ -239,8 +306,7 @@ class EchelonMaddScheduler(Scheduler):
         self,
         groups: List[_Group],
         now: float,
-        network: NetworkModel,
-        full_caps: Dict[Tuple[str, str], float],
+        capacities: Sequence[float],
     ) -> List[_Group]:
         if self.ordering == "fifo":
             return groups
@@ -263,7 +329,7 @@ class EchelonMaddScheduler(Scheduler):
             # preserves the formation that gates the job's computation.
             tau = {
                 g.group_id: self._weighted_ascending(
-                    g, g.projected_tardiness(now, network, full_caps)
+                    g, g.projected_tardiness(now, capacities)
                 )
                 for g in groups
             }
@@ -294,23 +360,13 @@ class EchelonMaddScheduler(Scheduler):
             return [g for *_key, g in keyed]
         if self.ordering == "sebf":
             keyed = [
-                (
-                    remaining_gamma(
-                        [s for stage in g.stages for s in stage.states],
-                        network,
-                        full_caps,
-                    ),
-                    g.group_id,
-                    g,
-                )
+                (remaining_gamma(g.load(), capacities), g.group_id, g)
                 for g in groups
             ]
         else:
             keyed = [
                 (
-                    self._weighted(
-                        g, g.projected_tardiness(now, network, full_caps)
-                    ),
+                    self._weighted(g, g.projected_tardiness(now, capacities)),
                     g.group_id,
                     g,
                 )
@@ -326,41 +382,43 @@ class EchelonMaddScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def allocate(self, view: SchedulerView) -> Dict[int, float]:
-        network = view.network
         now = view.now
         # Maintained by the network's residual accounting; a (harmless)
         # superset of the links under the currently-active flows.
-        full_caps: Dict[Tuple[str, str], float] = network.link_capacities()
+        capacities = view.network.column_capacities()
 
         groups = self._build_groups(view)
-        ordered = self._order_groups(groups, now, network, full_caps)
+        ordered = self._order_groups(groups, now, capacities)
 
         rates: Dict[int, float] = {}
-        residual = dict(full_caps)
-        schedule_order: List[FlowState] = []
+        residual = list(capacities)
+        fill_ids: List[int] = []
+        fill_columns: List[Tuple[int, ...]] = []
         for group in ordered:
             for stage in group.stages:
-                gamma = stage.gamma(network, residual)
-                schedule_order.extend(
-                    sorted(stage.states, key=lambda s: s.flow.flow_id)
-                )
+                fill_ids.extend(stage.flow_ids)
+                fill_columns.extend(stage.columns)
+                gamma = remaining_gamma(stage.load, residual)
                 if gamma == float("inf"):
-                    for state in stage.states:
-                        rates[state.flow.flow_id] = 0.0
+                    for flow_id in stage.flow_ids:
+                        rates[flow_id] = 0.0
                     continue
                 # Pace the stage to land on max(deadline, earliest feasible).
                 target = max(stage.deadline, now + gamma)
                 horizon = target - now
-                for state in stage.states:
-                    if horizon <= EPS:
-                        rate = 0.0
-                    else:
-                        rate = state.remaining / horizon
-                    rates[state.flow.flow_id] = rate
-                    for link in network.path(state.flow.flow_id):
-                        residual[link.key] = max(0.0, residual[link.key] - rate)
+                for flow_id, remaining, path in zip(
+                    stage.flow_ids, stage.remaining, stage.columns
+                ):
+                    # Any positive horizon paces, however short: a stage
+                    # of a few bytes must not starve at rate 0.
+                    rate = remaining / horizon if horizon > 0.0 else 0.0
+                    rates[flow_id] = rate
+                    for column in path:
+                        left = residual[column] - rate
+                        residual[column] = left if left > 0.0 else 0.0
 
         if self.backfill:
-            demands = [view.demand_of(state) for state in schedule_order]
-            rates = greedy_priority_fill(demands, available=residual, base_rates=rates)
+            rates = greedy_priority_fill(
+                zip(fill_ids, fill_columns), residual, rates
+            )
         return rates

@@ -120,5 +120,6 @@ class SincroniaScheduler(Scheduler):
             ordered_states.extend(
                 sorted(coflows[cid], key=lambda s: (s.remaining, s.flow.flow_id))
             )
-        demands = [view.demand_of(state) for state in ordered_states]
-        return greedy_priority_fill(demands)
+        return greedy_priority_fill(
+            view.fill_order(ordered_states), list(network.column_capacities())
+        )

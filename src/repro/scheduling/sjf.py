@@ -27,8 +27,9 @@ class ShortestFlowFirstScheduler(Scheduler):
     def allocate(self, view: SchedulerView) -> Dict[int, float]:
         states = view.active_states()
         ordered = sorted(states, key=lambda s: (s.remaining, s.flow.flow_id))
-        demands = [view.demand_of(state) for state in ordered]
-        return greedy_priority_fill(demands)
+        return greedy_priority_fill(
+            view.fill_order(ordered), list(view.network.column_capacities())
+        )
 
 
 @register_scheduler
@@ -41,5 +42,6 @@ class FifoFlowScheduler(Scheduler):
     def allocate(self, view: SchedulerView) -> Dict[int, float]:
         states = view.active_states()
         ordered = sorted(states, key=lambda s: (s.start_time, s.flow.flow_id))
-        demands = [view.demand_of(state) for state in ordered]
-        return greedy_priority_fill(demands)
+        return greedy_priority_fill(
+            view.fill_order(ordered), list(view.network.column_capacities())
+        )

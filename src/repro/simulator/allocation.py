@@ -7,12 +7,16 @@ constraints. This module implements the building blocks:
 * :func:`max_min_fair` -- progressive filling (classic water-filling), with
   optional per-flow weights and per-flow rate caps.
 * :func:`greedy_priority_fill` -- strict-priority allocation in a given flow
-  order (used by SJF-style and backfill passes).
+  order (used by SJF-style and backfill passes), over column-indexed
+  links (see :class:`LinkAccounting`).
 * :func:`feasible` -- validate an allocation against link capacities.
 * :func:`residual_capacities` -- leftover capacity after an allocation.
 * :class:`LinkAccounting` -- stateful per-link residual bookkeeping kept
   current by the network model, so feasibility checks and utilization
-  sampling cost O(links touched) instead of O(flows x path length).
+  sampling cost O(links touched) instead of O(flows x path length). It
+  also numbers every link with a dense integer *column*, the index the
+  scheduler kernels (stage Gamma, MADD pacing, greedy fill) use into
+  plain capacity lists instead of dicts keyed by link name pairs.
 * :class:`DemandSet` -- a demand list that carries a kernel hint; when it
   asks for the vector path (and numpy is available), :func:`max_min_fair`
   and :func:`feasible` dispatch to the dense-array kernels in
@@ -26,7 +30,7 @@ rate dictionaries, which keeps them unit-testable and hypothesis-friendly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.units import EPS
 from ..topology.graph import Link
@@ -158,9 +162,23 @@ class LinkAccounting:
     a strictly positive rate per link) are exact, so membership questions
     ("does any live flow cross this link?") never depend on float drift;
     a link whose flow set empties has its accumulator hard-reset to 0.
+
+    Columns are handed out in first-``watch`` order and never reused or
+    renumbered (links are never forgotten), so a column stays valid for
+    the accounting's lifetime and :meth:`clone` carries the numbering
+    over unchanged: a forked model resolves every flow to the columns its
+    parent did.
     """
 
-    __slots__ = ("loads", "capacities", "links", "flows_on", "nonzero")
+    __slots__ = (
+        "loads",
+        "capacities",
+        "links",
+        "flows_on",
+        "nonzero",
+        "columns",
+        "column_capacities",
+    )
 
     def __init__(self) -> None:
         #: link key -> sum of current rates of flows crossing it.
@@ -172,6 +190,10 @@ class LinkAccounting:
         self.flows_on: Dict[Tuple[str, str], set] = {}
         #: link key -> count of crossing flows with rate > 0.
         self.nonzero: Dict[Tuple[str, str], int] = {}
+        #: link key -> dense column index, append-only.
+        self.columns: Dict[Tuple[str, str], int] = {}
+        #: column -> current capacity (mirrors ``capacities``).
+        self.column_capacities: List[float] = []
 
     def watch(self, flow_id: int, path: Sequence[Link]) -> None:
         """Register a newly-injected (rate-0) flow on its path's links."""
@@ -183,7 +205,19 @@ class LinkAccounting:
                 self.links[key] = link
                 self.flows_on[key] = set()
                 self.nonzero[key] = 0
+                self.columns[key] = len(self.column_capacities)
+                self.column_capacities.append(link.capacity)
             self.flows_on[key].add(flow_id)
+
+    def columns_of(self, path: Sequence[Link]) -> Tuple[int, ...]:
+        """The column of each link of a watched path, in path order."""
+        columns = self.columns
+        return tuple([columns[link.key] for link in path])
+
+    def set_capacity(self, key: Tuple[str, str], capacity: float) -> None:
+        """Record a watched link's new capacity (fault injection/repair)."""
+        self.capacities[key] = capacity
+        self.column_capacities[self.columns[key]] = capacity
 
     def unwatch(self, flow_id: int, path: Sequence[Link], rate: float) -> None:
         """Retire a flow: release its rate and drop it from link sets."""
@@ -251,6 +285,8 @@ class LinkAccounting:
             twin.links = {key: link_map[key] for key in self.links}
         twin.flows_on = {key: set(members) for key, members in self.flows_on.items()}
         twin.nonzero = dict(self.nonzero)
+        twin.columns = dict(self.columns)
+        twin.column_capacities = list(self.column_capacities)
         return twin
 
     def usage(self) -> Dict[Link, float]:
@@ -363,33 +399,38 @@ def max_min_fair(
 
 
 def greedy_priority_fill(
-    ordered: Sequence[FlowDemand],
-    available: Optional[Mapping[Tuple[str, str], float]] = None,
-    base_rates: Optional[Mapping[int, float]] = None,
+    ordered: Iterable[Tuple[int, Sequence[int]]],
+    residual: List[float],
+    rates: Optional[Dict[int, float]] = None,
+    caps: Optional[Mapping[int, float]] = None,
 ) -> Dict[int, float]:
     """Strict-priority allocation: each flow grabs its path bottleneck.
 
-    Flows are served in the given order; each receives the minimum residual
-    capacity along its path (bounded by its cap). With ``base_rates`` the
-    pass *adds* to an existing allocation -- this is the work-conserving
-    backfill step used after MADD.
+    ``ordered`` yields ``(flow_id, columns)`` in priority order, where
+    ``columns`` are the flow's path links as indices into ``residual``
+    (see :class:`LinkAccounting`). Each flow receives the minimum
+    residual capacity along its path, bounded by its entry in ``caps``
+    (if any) minus what it already has. ``residual`` is consumed in
+    place. With ``rates`` the pass *adds* to an existing allocation,
+    extending that dict in place -- this is the work-conserving backfill
+    step used after MADD.
     """
-    demands = list(ordered)
-    residual = dict(available) if available is not None else link_capacities(demands)
-    for demand in demands:
-        for link in demand.path:
-            residual.setdefault(link.key, link.capacity)
-    rates: Dict[int, float] = dict(base_rates) if base_rates else {}
-    for demand in demands:
-        bottleneck = min(residual[link.key] for link in demand.path)
-        grant = max(0.0, bottleneck)
-        if demand.cap is not None:
-            already = rates.get(demand.flow_id, 0.0)
-            grant = min(grant, max(0.0, demand.cap - already))
+    if rates is None:
+        rates = {}
+    for flow_id, columns in ordered:
+        # min() over the path, as a loop: cheaper than a call per flow.
+        grant = residual[columns[0]]
+        for column in columns:
+            left = residual[column]
+            if left < grant:
+                grant = left
+        if caps is not None and flow_id in caps:
+            headroom = caps[flow_id] - rates.get(flow_id, 0.0)
+            grant = min(grant, max(0.0, headroom))
         if grant <= EPS:
-            rates.setdefault(demand.flow_id, 0.0)
+            rates.setdefault(flow_id, 0.0)
             continue
-        rates[demand.flow_id] = rates.get(demand.flow_id, 0.0) + grant
-        for link in demand.path:
-            residual[link.key] -= grant
+        rates[flow_id] = rates.get(flow_id, 0.0) + grant
+        for column in columns:
+            residual[column] -= grant
     return rates

@@ -159,6 +159,9 @@ class NetworkModel:
         self._demands_cache: Optional[Tuple[int, DemandSet]] = None
         #: Always-current per-link load/membership bookkeeping.
         self.accounting = LinkAccounting()
+        #: flow id -> its path's link columns, filled on first request by
+        #: :meth:`columns` (fair share never asks, so never pays for it).
+        self._columns: Dict[int, Tuple[int, ...]] = {}
         #: Min-heap of (finish key, flow id, token); stale entries carry
         #: an outdated token and are dropped when popped.
         self._finish_heap: List[Tuple[float, int, int]] = []
@@ -250,6 +253,7 @@ class NetworkModel:
         }
         link_map = {key: translate(*key) for key in self.accounting.links}
         twin.accounting = self.accounting.clone(link_map)
+        twin._columns = dict(self._columns)
         twin._finish_heap = list(self._finish_heap)
         twin._heap_token = dict(self._heap_token)
         twin._group_fids = {
@@ -301,6 +305,7 @@ class NetworkModel:
         state.finish_time = finish_time
         state.rate = 0.0
         self.accounting.unwatch(flow_id, self._paths[flow_id], old_rate)
+        self._columns.pop(flow_id, None)
         self._heap_token[flow_id] = self._heap_token.get(flow_id, 0) + 1
         self._demands_rev += 1
         del self._active[flow_id]
@@ -344,6 +349,12 @@ class NetworkModel:
                 self._group_fids, key=lambda g: (g is None, g or "")
             )
         ]
+
+    def group_flow_ids(self, group_id: Optional[str]) -> List[int]:
+        """One bucket's flow ids, parallel to its states in
+        :meth:`group_buckets` (do not mutate): lets a scheduler key its
+        per-flow work without dereferencing every state's flow."""
+        return self._group_fids[group_id]
 
     # -- lazy drain -----------------------------------------------------
 
@@ -473,6 +484,16 @@ class NetworkModel:
 
     def path(self, flow_id: int) -> Tuple[Link, ...]:
         return self._paths[flow_id]
+
+    def columns(self, flow_id: int) -> Tuple[int, ...]:
+        """An active flow's path as link columns (see
+        :class:`~repro.simulator.allocation.LinkAccounting`), cached until
+        the flow retires or is rerouted."""
+        columns = self._columns.get(flow_id)
+        if columns is None:
+            columns = self.accounting.columns_of(self._paths[flow_id])
+            self._columns[flow_id] = columns
+        return columns
 
     def demand(self, flow_id: int, weight: float = 1.0) -> FlowDemand:
         if weight == 1.0:
@@ -822,7 +843,7 @@ class NetworkModel:
             next(_capacity_token_counter),
         )
         if key in self.accounting.capacities:
-            self.accounting.capacities[key] = capacity
+            self.accounting.set_capacity(key, capacity)
         load = self.accounting.loads.get(key, 0.0)
         if load > capacity * (1.0 + 1e-9) + 1e-12:
             ratio = 0.0 if capacity <= 0.0 else capacity / load
@@ -881,6 +902,7 @@ class NetworkModel:
             self.accounting.unwatch(flow_id, old_path, old_rate)
             state.rate = 0.0
             self._paths[flow_id] = new_path
+            self._columns.pop(flow_id, None)
             self._demands[flow_id] = FlowDemand(flow_id=flow_id, path=new_path)
             self._demands_rev += 1
             self.accounting.watch(flow_id, new_path)
@@ -953,15 +975,15 @@ class NetworkModel:
                 )
         return problems
 
-    def link_capacities(self) -> Dict[Tuple[str, str], float]:
-        """Capacity per link key, for every link any flow has crossed.
+    def column_capacities(self) -> List[float]:
+        """Capacity per link column, for every link any flow has crossed.
 
         Maintained by the residual accounting (a superset of the links
         under the currently-active flows), so schedulers seeding their
-        capacity maps no longer walk every active path. Treat as
-        read-only: copy before mutating into a residual map.
+        capacity lists never walk every active path. Treat as read-only:
+        copy before mutating into a residual list.
         """
-        return self.accounting.capacities
+        return self.accounting.column_capacities
 
     def link_usage(self) -> Dict[Link, float]:
         """Aggregate allocated rate per link across the active flows.

@@ -35,10 +35,10 @@ class Link:
         if self.src == self.dst:
             raise ValueError(f"self-loop link at {self.src!r}")
         self.nominal_capacity = self.capacity
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.src, self.dst)
+        #: ``(src, dst)``: the link's name pair, stored once because
+        #: routing, residual accounting and rate application read it on
+        #: every flow they touch.
+        self.key: Tuple[str, str] = (self.src, self.dst)
 
 
 class Topology:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.simulator.allocation import (
     FlowDemand,
+    LinkAccounting,
     feasible,
     greedy_priority_fill,
     link_capacities,
@@ -17,6 +18,20 @@ from repro.topology.graph import Link
 
 def _demand(flow_id, links, weight=1.0, cap=None):
     return FlowDemand(flow_id=flow_id, path=tuple(links), weight=weight, cap=cap)
+
+
+def _fill(demands, available=None, base_rates=None):
+    """Greedy fill over FlowDemands, in order: a LinkAccounting numbers
+    the links; ``available`` (by link key) overrides link capacities."""
+    accounting = LinkAccounting()
+    for demand in demands:
+        accounting.watch(demand.flow_id, demand.path)
+    residual = list(accounting.column_capacities)
+    for key, capacity in (available or {}).items():
+        residual[accounting.columns[key]] = capacity
+    ordered = [(d.flow_id, accounting.columns_of(d.path)) for d in demands]
+    caps = {d.flow_id: d.cap for d in demands if d.cap is not None}
+    return greedy_priority_fill(ordered, residual, dict(base_rates or {}), caps)
 
 
 L_AB = Link("a", "b", 10.0)
@@ -62,23 +77,23 @@ class TestMaxMinFair:
 
 class TestGreedyPriorityFill:
     def test_first_flow_takes_bottleneck(self):
-        rates = greedy_priority_fill([_demand(1, [L_AB]), _demand(2, [L_AB])])
+        rates = _fill([_demand(1, [L_AB]), _demand(2, [L_AB])])
         assert rates[1] == pytest.approx(10.0)
         assert rates[2] == pytest.approx(0.0)
 
     def test_disjoint_paths_both_full(self):
-        rates = greedy_priority_fill([_demand(1, [L_AB]), _demand(2, [L_CD])])
+        rates = _fill([_demand(1, [L_AB]), _demand(2, [L_CD])])
         assert rates[1] == pytest.approx(10.0)
         assert rates[2] == pytest.approx(4.0)
 
     def test_base_rates_are_added_to(self):
-        rates = greedy_priority_fill(
+        rates = _fill(
             [_demand(1, [L_AB])], base_rates={1: 3.0}, available={("a", "b"): 2.0}
         )
         assert rates[1] == pytest.approx(5.0)
 
     def test_cap_limits_total(self):
-        rates = greedy_priority_fill([_demand(1, [L_AB], cap=4.0)])
+        rates = _fill([_demand(1, [L_AB], cap=4.0)])
         assert rates[1] == pytest.approx(4.0)
 
 
@@ -176,7 +191,7 @@ def test_max_min_is_pareto_no_free_capacity_for_anyone(demands):
 @given(demand_sets())
 @settings(max_examples=60, deadline=None)
 def test_greedy_fill_is_feasible_and_work_conserving(demands):
-    rates = greedy_priority_fill(demands)
+    rates = _fill(demands)
     assert feasible(demands, rates, tolerance=1e-6)
     residual = residual_capacities(demands, rates)
     for demand in demands:

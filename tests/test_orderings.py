@@ -28,12 +28,8 @@ def _view(flows, echelonflows, now=0.0, n_hosts=8, bw=10.0, starts=None):
 
 def _order(scheduler, view):
     groups = scheduler._build_groups(view)
-    network = view.network
-    full_caps = {}
-    for state in view.active_states():
-        for link in network.path(state.flow.flow_id):
-            full_caps[link.key] = link.capacity
-    ordered = scheduler._order_groups(groups, view.now, network, full_caps)
+    full_caps = view.network.column_capacities()
+    ordered = scheduler._order_groups(groups, view.now, full_caps)
     return [g.group_id for g in ordered]
 
 

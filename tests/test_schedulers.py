@@ -15,7 +15,7 @@ from repro.scheduling import (
     scheduler_names,
 )
 from repro.scheduling.base import SchedulerView
-from repro.scheduling.coflow_madd import madd_rates, remaining_gamma
+from repro.scheduling.coflow_madd import link_load, madd_rates, remaining_gamma
 from repro.simulator.network import NetworkModel
 from repro.topology import ShortestPathRouter, big_switch, two_hosts
 
@@ -90,14 +90,15 @@ class TestCoflowMadd:
         view = _view(topo, flows, echelonflows=[make_coflow("c", flows)])
         network = view.network
         states = network.active_states()
-        caps = {}
-        for state in states:
-            for link in network.path(state.flow.flow_id):
-                caps[link.key] = link.capacity
-        gamma = remaining_gamma(states, network, caps)
+        caps = network.column_capacities()
+        load = link_load(
+            [state.remaining for state in states],
+            [network.columns(state.flow.flow_id) for state in states],
+        )
+        gamma = remaining_gamma(load, caps)
         # Ingress of h1 carries 18 bytes at cap 2 -> Gamma = 9.
         assert gamma == pytest.approx(9.0)
-        rates = madd_rates(states, network, caps)
+        rates = madd_rates(states, load, caps)
         for state in states:
             assert rates[state.flow.flow_id] == pytest.approx(state.remaining / 9.0)
 
@@ -254,3 +255,27 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_scheduler("nope")
+
+
+@pytest.mark.parametrize("name", ["echelon", "coflow"])
+def test_sub_nanosecond_stage_is_paced_without_backfill(name):
+    """A flow whose Gamma is finite but under 1 ns still gets a rate.
+
+    Without backfill nothing else serves it, so a rate of 0 would stall
+    the run (the engine reports a deadlock).
+    """
+    from repro.simulator import Engine
+
+    topo = big_switch(4, host_bandwidth=1.25e9)
+    tiny = Flow("h0", "h1", 0.5)
+    bulk = Flow("h2", "h3", 1e6)
+    view = _view(topo, [tiny, bulk])
+    rates = make_scheduler(name, backfill=False).allocate(view)
+    assert rates[tiny.flow_id] == pytest.approx(1.25e9)
+    assert rates[bulk.flow_id] == pytest.approx(1.25e9)
+
+    engine = Engine(topo, make_scheduler(name, backfill=False))
+    for flow in (Flow("h0", "h1", 0.5), Flow("h2", "h3", 1e6)):
+        engine.inject_background_flow(flow, at_time=0.0)
+    finish = sorted(record.finish for record in engine.run().flow_records)
+    assert finish == pytest.approx([0.5 / 1.25e9, 1e6 / 1.25e9])
