@@ -30,7 +30,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --huge          # adds 1M
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke         # CI guard
 
-``--smoke`` runs small points a few times and compares four *time
+``--smoke`` runs small points a few times and compares five *time
 ratios* -- each the median over ``SMOKE_REPEATS`` attempts -- against the
 checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
 
@@ -44,7 +44,11 @@ checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
   on the kernel the engine's default mode picks at that size (the
   scalar scheduler kernels for echelon, the vector max-min kernel for
   fair): the paper's scheduler -- stage Gamma, MADD pacing and greedy
-  backfill -- must stay within reach of the fair-share baseline.
+  backfill -- must stay within reach of the fair-share baseline,
+* ``report_ratio``: building the metrics report / the instrumented run
+  it reports on, for ``REPORT_SMOKE_JOBS`` Table-1 jobs (dp, fsdp, pp,
+  tp) on ``fat_tree(4)`` with ECMP under echelon: tardiness attribution
+  over DAG traffic must stay a fraction of the run it explains.
 
 Ratios are machine-independent to first order, so the step fails only
 when a mode itself regresses (> 2x its baseline ratio), not when CI
@@ -106,6 +110,9 @@ VECTOR_SMOKE_FLOWS = 4000
 #: scheduler kernels, not the event loop, set the echelon run time, and
 #: past the auto-select threshold, so fair share runs its vector kernel.
 ECHELON_SMOKE_FLOWS = 4000
+#: The report guard's size: Table-1 jobs of 2 iterations on a 16-host
+#: fat tree, about 3,300 flows sharing a few dozen links.
+REPORT_SMOKE_JOBS = 16
 SMOKE_REPEATS = 3
 
 MODES = ("reference", "incremental", "vector")
@@ -222,6 +229,56 @@ def run_once(
         "bytes_delivered": engine.network.bytes_delivered,
         "scheduler_invocations": engine.scheduler_invocations,
         "trace_digest": _trace_digest(trace),
+    }
+
+
+def report_once(jobs: int, seed: int) -> dict:
+    """Time an observed Table-1 job mix, then its metrics report.
+
+    ``jobs`` jobs cycle through dp, fsdp, pp and tp on four workers each
+    of ``fat_tree(4)`` with ECMP routing under the echelon scheduler,
+    arriving 10 ms apart plus a seeded jitter, with the recording stack
+    the CLI obs flags install.
+    """
+    from repro.core.units import gbps
+    from repro.obs import Instrumentation, JsonlEventLog
+    from repro.obs.report import build_metrics_report
+    from repro.topology import fat_tree
+    from repro.topology.routing import EcmpRouter
+    from repro.whatif.workload import build_paradigm_job
+
+    rng = random.Random(seed)
+    instrumentation = Instrumentation(event_log=JsonlEventLog())
+    topology = fat_tree(4, gbps(10))
+    engine = Engine(
+        topology,
+        EchelonMaddScheduler(),
+        router=EcmpRouter(topology),
+        instrumentation=instrumentation,
+        sanitizer=False,
+    )
+    hosts = topology.hosts
+    for j in range(jobs):
+        paradigm = ("dp", "fsdp", "pp", "tp")[j % 4]
+        workers = [hosts[(j + 5 * k) % len(hosts)] for k in range(4)]
+        job = build_paradigm_job(
+            paradigm, f"{paradigm}-{j}", workers, layers=4, iterations=2
+        )
+        job.submit_to(engine, at_time=0.01 * j + 0.005 * rng.random())
+    start = time.perf_counter()
+    trace = engine.run()
+    run_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    report = build_metrics_report(
+        trace,
+        instrumentation=instrumentation,
+        scheduler_invocations=engine.scheduler_invocations,
+    )
+    return {
+        "seconds": run_seconds,
+        "report_seconds": time.perf_counter() - start,
+        "completed": len(trace.flow_records),
+        "attributed": report["diagnosis"]["coverage"]["with_rate_data"],
     }
 
 
@@ -383,6 +440,7 @@ def smoke(seed: int, scheduler: str) -> int:
     instr_ratios = []
     vector_ratios = []
     echelon_ratios = []
+    report_ratios = []
     for attempt in range(SMOKE_REPEATS):
         ref = run_once(SMOKE_FLOWS, "reference", seed=seed, scheduler=scheduler)
         inc = run_once(SMOKE_FLOWS, "incremental", seed=seed, scheduler=scheduler)
@@ -401,6 +459,7 @@ def smoke(seed: int, scheduler: str) -> int:
         echelon = run_once(
             ECHELON_SMOKE_FLOWS, "incremental", seed=seed, scheduler="echelon"
         )
+        reported = report_once(REPORT_SMOKE_JOBS, seed=seed)
         problems = _check_equivalent(SMOKE_FLOWS, ref, inc)
         # Instrumentation must observe, never perturb: the instrumented
         # run is the same simulation as the bare incremental one.
@@ -414,6 +473,11 @@ def smoke(seed: int, scheduler: str) -> int:
             for run in (fair, echelon)
             if run["completed"] != ECHELON_SMOKE_FLOWS
         ]
+        if reported["attributed"] != reported["completed"]:
+            problems.append(
+                f"report attributed {reported['attributed']} of "
+                f"{reported['completed']} delivered flows"
+            )
         if problems:
             print(
                 "[bench_scale] smoke equivalence FAILED:\n  " + "\n  ".join(problems),
@@ -424,6 +488,7 @@ def smoke(seed: int, scheduler: str) -> int:
         instr_ratios.append(obs["seconds"] / inc["seconds"])
         vector_ratios.append(vec["seconds"] / vec_base["seconds"])
         echelon_ratios.append(echelon["seconds"] / fair["seconds"])
+        report_ratios.append(reported["report_seconds"] / reported["seconds"])
         print(
             f"[bench_scale] smoke attempt {attempt + 1}/{SMOKE_REPEATS}: "
             f"incremental/reference {ratios[-1]:.3f} "
@@ -433,7 +498,10 @@ def smoke(seed: int, scheduler: str) -> int:
             f"{vector_ratios[-1]:.3f} ({vec['seconds']:.3f}s / "
             f"{vec_base['seconds']:.3f}s @ n={VECTOR_SMOKE_FLOWS}), "
             f"echelon/fair {echelon_ratios[-1]:.3f} ({echelon['seconds']:.3f}s / "
-            f"{fair['seconds']:.3f}s @ n={ECHELON_SMOKE_FLOWS})",
+            f"{fair['seconds']:.3f}s @ n={ECHELON_SMOKE_FLOWS}), "
+            f"report/run {report_ratios[-1]:.3f} "
+            f"({reported['report_seconds']:.3f}s / {reported['seconds']:.3f}s, "
+            f"{reported['completed']} flows)",
             flush=True,
         )
     ok = _guard(
@@ -455,6 +523,11 @@ def smoke(seed: int, scheduler: str) -> int:
         "echelon scheduler (echelon/fair)",
         statistics.median(echelon_ratios),
         baseline.get("echelon_ratio"),
+    )
+    ok &= _guard(
+        "metrics report (report/instrumented run)",
+        statistics.median(report_ratios),
+        baseline.get("report_ratio"),
     )
     return 0 if ok else 1
 

@@ -21,6 +21,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..jsonl import read_jsonl
 
+_INF = float("inf")
+
+#: A pinned path as ((link key, capacity), ...).
+PinnedPath = Tuple[Tuple[str, float], ...]
+
 
 @dataclass
 class FlowFact:
@@ -38,13 +43,33 @@ class FlowFact:
     finish: Optional[float] = None
     ideal_finish: Optional[float] = None
     #: Pinned path as ((link key, capacity), ...); empty when unrecorded.
-    path: Tuple[Tuple[str, float], ...] = ()
-    #: Allocated-rate history as [start, end, rate] spans (nonzero only).
+    #: For a rerouted flow this is the last path it was pinned to.
+    path: PinnedPath = ()
+    #: Allocated-rate history as [start, end, rate] spans (nonzero only),
+    #: in time order and disjoint: the recorder closes one span before
+    #: opening the next, so ``segments[0][0]`` and ``segments[-1][1]``
+    #: bound the flow's recorded extent.
     segments: List[List[float]] = field(default_factory=list)
+    #: Path epochs of a flow a fault migrated, as ((since, path), ...) in
+    #: time order: each path was pinned from its ``since`` until the next
+    #: epoch's. The first epoch (the admission path) has ``since = -inf``
+    #: and the last one's path is ``path``. Empty when the flow never
+    #: moved, in which case ``path`` held for its whole life.
+    path_epochs: Tuple[Tuple[float, PinnedPath], ...] = ()
 
     @property
     def delivered(self) -> bool:
         return self.finish is not None
+
+    def path_spans(self) -> List[Tuple[float, float, PinnedPath]]:
+        """``(since, until, path)`` for every path the flow was pinned to."""
+        epochs = self.path_epochs
+        if not epochs:
+            return [(-_INF, _INF, self.path)]
+        return [
+            (since, epochs[i + 1][0] if i + 1 < len(epochs) else _INF, path)
+            for i, (since, path) in enumerate(epochs)
+        ]
 
     @property
     def tardiness(self) -> Optional[float]:
@@ -165,10 +190,20 @@ class RunArtifacts:
         return max(finishes) if finishes else None
 
     def flows_on_link(self) -> Dict[str, List[FlowFact]]:
-        """link key -> delivered flows whose pinned path crosses it."""
+        """link key -> delivered flows pinned to a path crossing it.
+
+        Each list is in flow-id order; a rerouted flow is listed once under
+        every link of every path it was pinned to.
+        """
         out: Dict[str, List[FlowFact]] = {}
         for flow in self.delivered_flows():
-            for key, _capacity in flow.path:
+            if flow.path_epochs:
+                keys = dict.fromkeys(
+                    key for _, path in flow.path_epochs for key, _ in path
+                )
+            else:
+                keys = [key for key, _capacity in flow.path]
+            for key in keys:
                 out.setdefault(key, []).append(flow)
         return out
 
@@ -254,6 +289,16 @@ class RunArtifacts:
                     artifacts.reroutes[flow_id] = (
                         artifacts.reroutes.get(flow_id, 0) + 1
                     )
+                fact = flows.get(flow_id)
+                path = event.get("path")
+                if fact is not None and fact.path and path:
+                    new_path = tuple(
+                        (str(key), float(capacity)) for key, capacity in path
+                    )
+                    fact.path_epochs = (
+                        fact.path_epochs or ((-_INF, fact.path),)
+                    ) + ((t, new_path),)
+                    fact.path = new_path
         artifacts.end_time = end
         return artifacts
 
@@ -291,6 +336,7 @@ class RunArtifacts:
             if recorder is not None:
                 fact.path = recorder.paths.get(flow.flow_id, ())
                 fact.segments = recorder.rates_of(flow.flow_id)
+                fact.path_epochs = tuple(recorder.epochs.get(flow.flow_id, ()))
             artifacts.flows[flow.flow_id] = fact
         for event in trace.task_events:
             meta = task_meta.get((event.job_id, event.task_id))

@@ -18,6 +18,8 @@ flow's tardiness into three exactly-summing components:
     ``(1/C) * integral of r_g(t) dt`` over the flow's lifetime, for
     every other flow ``g`` sharing the bottleneck link: seconds of the
     victim's ideal-rate time that contender ``g``'s allocation consumed.
+    When a fault rerouted either flow, only the time both were pinned
+    to the link counts (``FlowFact.path_epochs``).
 
 ``residual``
     ``(1/C) * integral of (C - sum of all allocations on the bottleneck
@@ -44,7 +46,7 @@ paradigms and schedulers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .artifacts import FlowFact, RunArtifacts
 
@@ -107,9 +109,11 @@ class FlowAttribution:
 
 def bottleneck_of(flow: FlowFact) -> Optional[Tuple[str, float]]:
     """The min-capacity hop of the flow's pinned path (first on ties)."""
-    if not flow.path:
-        return None
-    return min(flow.path, key=lambda hop: (hop[1], hop[0]))
+    best = None
+    for hop in flow.path:
+        if best is None or (hop[1], hop[0]) < (best[1], best[0]):
+            best = hop
+    return best
 
 
 def overlap_integral(segments, lo: float, hi: float) -> float:
@@ -123,15 +127,69 @@ def overlap_integral(segments, lo: float, hi: float) -> float:
     return total
 
 
-def attribute_flow(
-    flow: FlowFact,
-    on_link: Dict[str, List[FlowFact]],
-) -> FlowAttribution:
-    """Decompose one delivered flow's tardiness (see module docstring).
+_INF = float("inf")
+#: Pinned spans of a flow that never moved: its one path, all the time.
+_ALWAYS = ((-_INF, _INF),)
 
-    ``on_link`` maps link key -> delivered flows crossing it (from
-    :meth:`RunArtifacts.flows_on_link`). Flows without a recorded path
-    or rate segments degrade to the bare Eq. 1 numbers.
+
+def _pinned_spans(flow: FlowFact, key: str) -> Sequence[Tuple[float, float]]:
+    """The (since, until) spans during which ``flow`` was pinned to ``key``."""
+    if not flow.path_epochs:
+        return _ALWAYS
+    return [
+        (since, until)
+        for since, until, path in flow.path_spans()
+        if any(hop[0] == key for hop in path)
+    ]
+
+
+def _overlapping(
+    windows: Sequence[Tuple[float, float]],
+    extents: Sequence[Optional[Tuple[float, float]]],
+) -> List[List[int]]:
+    """For each window, the indices of the extents it overlaps.
+
+    Overlap means an intersection of positive length, the only kind
+    :func:`overlap_integral` can turn into a nonzero share. One sweep
+    over the sorted endpoints of both sets, ends before starts at equal
+    times, pairs each window with every extent open when it opens and
+    each extent with every window open when it opens: every overlapping
+    pair is found exactly once, in O(n log n + pairs). ``None`` or
+    zero-length entries overlap nothing.
+    """
+    events = []
+    for side, spans in ((0, windows), (1, extents)):
+        for index, span in enumerate(spans):
+            if span is not None and span[0] < span[1]:
+                events.append((span[0], 1, side, index))
+                events.append((span[1], 0, side, index))
+    events.sort()
+    found: List[List[int]] = [[] for _ in windows]
+    open_windows: Dict[int, None] = {}
+    open_extents: Dict[int, None] = {}
+    for _time, starting, side, index in events:
+        if side == 0:
+            if not starting:
+                del open_windows[index]
+                continue
+            found[index].extend(open_extents)
+            open_windows[index] = None
+        else:
+            if not starting:
+                del open_extents[index]
+                continue
+            for window in open_windows:
+                found[window].append(index)
+            open_extents[index] = None
+    return found
+
+
+def _prepare(flow: FlowFact) -> Tuple[FlowAttribution, Optional[str]]:
+    """The flow's Eq. 1 numbers, bottleneck, stretch and upstream term.
+
+    Also returns the bottleneck link whose contenders are still to be
+    integrated, or ``None`` when the flow has no recorded path, no
+    endpoints, no size or no bottleneck capacity.
     """
     out = FlowAttribution(
         flow_id=flow.flow_id,
@@ -147,42 +205,99 @@ def attribute_flow(
     )
     hop = bottleneck_of(flow)
     if hop is None or flow.finish is None or flow.start is None:
-        return out
+        return out, None
     key, capacity = hop
     out.bottleneck = key
     out.bottleneck_capacity = capacity
     if capacity <= 0 or flow.size is None:
-        return out
-    lo, hi = flow.start, flow.finish
-    duration = hi - lo
+        return out, None
     ideal_duration = flow.size / capacity
-    out.stretch = duration - ideal_duration
+    out.stretch = (flow.finish - flow.start) - ideal_duration
     if flow.ideal_finish is not None:
-        out.upstream = (lo + ideal_duration) - flow.ideal_finish
+        out.upstream = (flow.start + ideal_duration) - flow.ideal_finish
+    return out, key
 
-    # Every recorded allocation on the bottleneck link during [lo, hi]:
-    # contenders get named shares, the flow's own share re-derives its
-    # ideal duration, and what no one used is the residual.
-    used = 0.0
-    for other in on_link.get(key, ()):
-        if other.flow_id == flow.flow_id:
-            used += overlap_integral(other.segments, lo, hi)
-            continue
-        share = overlap_integral(other.segments, lo, hi)
-        if share <= 0.0:
-            continue
-        used += share
-        seconds = share / capacity
-        out.contention[other.stage] = (
-            out.contention.get(other.stage, 0.0) + seconds
-        )
-        job = other.job or "?"
-        out.contention_by_job[job] = (
-            out.contention_by_job.get(job, 0.0) + seconds
-        )
-    out.residual = duration - used / capacity
-    if out.upstream is not None:
-        out.explained = out.upstream + out.contention_total + out.residual
+
+def _attribute_link(
+    key: str,
+    victims: Sequence[Tuple[FlowAttribution, FlowFact]],
+    crossing: Sequence[FlowFact],
+) -> None:
+    """Contention and residual of every victim whose bottleneck is ``key``.
+
+    ``crossing`` lists the delivered flows pinned to ``key``, in flow-id
+    order. Every recorded allocation on the link during a victim's
+    lifetime counts: contenders get named shares, the victim's own share
+    re-derives its ideal duration, and what no one used is the residual.
+    A contender whose recorded extent does not overlap the victim's
+    lifetime would contribute exactly ``0.0``, so only overlapping pairs
+    are integrated, still in flow-id order. A contender counts only
+    while both it and the victim were pinned to ``key`` (path epochs);
+    the victim's own share covers its whole lifetime.
+    """
+    found = _overlapping(
+        [(flow.start, flow.finish) for _, flow in victims],
+        [
+            (other.segments[0][0], other.segments[-1][1])
+            if other.segments
+            else None
+            for other in crossing
+        ],
+    )
+    position = {other.flow_id: j for j, other in enumerate(crossing)}
+    for (out, flow), hits in zip(victims, found):
+        lo, hi = flow.start, flow.finish
+        capacity = out.bottleneck_capacity
+        own = position.get(flow.flow_id)
+        if own is not None and own not in hits:
+            hits.append(own)
+        hits.sort()
+        windows = [
+            (since if since > lo else lo, until if until < hi else hi)
+            for since, until in _pinned_spans(flow, key)
+        ]
+        used = 0.0
+        for j in hits:
+            other = crossing[j]
+            if j == own:
+                used += overlap_integral(other.segments, lo, hi)
+                continue
+            share = 0.0
+            for a, b in windows:
+                for c, d in _pinned_spans(other, key):
+                    left = a if a > c else c
+                    right = b if b < d else d
+                    if right > left:
+                        share += overlap_integral(other.segments, left, right)
+            if share <= 0.0:
+                continue
+            used += share
+            seconds = share / capacity
+            out.contention[other.stage] = (
+                out.contention.get(other.stage, 0.0) + seconds
+            )
+            job = other.job or "?"
+            out.contention_by_job[job] = (
+                out.contention_by_job.get(job, 0.0) + seconds
+            )
+        out.residual = (hi - lo) - used / capacity
+        if out.upstream is not None:
+            out.explained = out.upstream + out.contention_total + out.residual
+
+
+def attribute_flow(
+    flow: FlowFact,
+    on_link: Dict[str, List[FlowFact]],
+) -> FlowAttribution:
+    """Decompose one delivered flow's tardiness (see module docstring).
+
+    ``on_link`` maps link key -> delivered flows crossing it (from
+    :meth:`RunArtifacts.flows_on_link`). Flows without a recorded path
+    or rate segments degrade to the bare Eq. 1 numbers.
+    """
+    out, key = _prepare(flow)
+    if key is not None:
+        _attribute_link(key, [(out, flow)], on_link.get(key, ()))
     return out
 
 
@@ -194,10 +309,16 @@ def attribute_run(artifacts: RunArtifacts) -> Dict:
     straggler member (the max-tardiness flow that *defines* the group's
     tardiness under Eq. 2) and its decomposition.
     """
+    attributions = []
+    victims: Dict[str, List[Tuple[FlowAttribution, FlowFact]]] = {}
+    for flow in artifacts.delivered_flows():
+        out, key = _prepare(flow)
+        attributions.append(out)
+        if key is not None:
+            victims.setdefault(key, []).append((out, flow))
     on_link = artifacts.flows_on_link()
-    attributions = [
-        attribute_flow(flow, on_link) for flow in artifacts.delivered_flows()
-    ]
+    for key, group in victims.items():
+        _attribute_link(key, group, on_link.get(key, ()))
     by_group: Dict[str, List[FlowAttribution]] = {}
     for attribution in attributions:
         if attribution.group is not None and attribution.tardiness is not None:

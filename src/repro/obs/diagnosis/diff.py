@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .artifacts import FlowFact, RunArtifacts
-from .attribution import FlowAttribution, attribute_run
+from .attribution import FlowAttribution, attribute_run, overlap_integral
 
 
 def _match_flows(
@@ -67,15 +67,20 @@ def _delta_map(
 
 
 def _link_busy(artifacts: RunArtifacts) -> Dict[str, float]:
-    """Per-link utilization-seconds (rate integral / capacity)."""
+    """Per-link utilization-seconds (rate integral / capacity).
+
+    A rerouted flow's bytes count on the path it was pinned to when it
+    sent them (see ``FlowFact.path_epochs``).
+    """
     busy: Dict[str, float] = {}
     for flow in artifacts.delivered_flows():
-        carried = sum((end - start) * rate for start, end, rate in flow.segments)
-        if carried <= 0.0:
-            continue
-        for key, capacity in flow.path:
-            if capacity > 0:
-                busy[key] = busy.get(key, 0.0) + carried / capacity
+        for since, until, path in flow.path_spans():
+            carried = overlap_integral(flow.segments, since, until)
+            if carried <= 0.0:
+                continue
+            for key, capacity in path:
+                if capacity > 0:
+                    busy[key] = busy.get(key, 0.0) + carried / capacity
     return busy
 
 

@@ -33,6 +33,19 @@ _RATE_TOL = 1e-9
 DEFAULT_RATE_CAPACITY = 200_000
 
 
+class LinkNames(dict):
+    """``Link.key`` -> ``"src->dst"``, formatted on first lookup.
+
+    Every hook that names a link reads it from one shared table, so each
+    name is formatted once per run and every path, timeline and event
+    holds the same string object.
+    """
+
+    def __missing__(self, key: Tuple[str, str]) -> str:
+        name = self[key] = LinkTimeline.link_key(*key)
+        return name
+
+
 class LinkTimeline:
     """Piecewise-constant utilization history of every observed link.
 
@@ -45,6 +58,9 @@ class LinkTimeline:
         #: link key "src->dst" -> list of [start, end, rate] segments.
         self.segments: Dict[str, List[List[float]]] = {}
         self.capacities: Dict[str, float] = {}
+        self.names = LinkNames()
+        #: Link.key -> (name, its segment list): one lookup per sample.
+        self._series: Dict[Tuple[str, str], Tuple[str, List[List[float]]]] = {}
 
     @staticmethod
     def link_key(src: str, dst: str) -> str:
@@ -61,20 +77,30 @@ class LinkTimeline:
         if dt <= 0:
             return
         end = now + dt
+        by_key = self._series
+        capacities = self.capacities
         for link, rate in usage.items():
             if rate < 0.0:
                 rate = 0.0
-            key = self.link_key(link.src, link.dst)
-            self.capacities[key] = link.capacity
-            series = self.segments.setdefault(key, [])
+            entry = by_key.get(link.key)
+            if entry is None:
+                name = self.names[link.key]
+                entry = by_key[link.key] = (
+                    name,
+                    self.segments.setdefault(name, []),
+                )
+            name, series = entry
+            # Refreshed on every sample: faults change capacities mid-run.
+            capacities[name] = link.capacity
             if series:
                 last = series[-1]
-                if (
-                    abs(last[1] - now) <= _RATE_TOL
-                    and abs(last[2] - rate) <= _RATE_TOL * max(1.0, abs(rate))
-                ):
-                    last[1] = end
-                    continue
+                # Contiguous and the same rate, both within _RATE_TOL
+                # (relative to the rate above 1; ``rate >= 0`` here).
+                if -_RATE_TOL <= last[1] - now <= _RATE_TOL:
+                    tol = _RATE_TOL * rate if rate > 1.0 else _RATE_TOL
+                    if -tol <= last[2] - rate <= tol:
+                        last[1] = end
+                        continue
             series.append([now, end, rate])
 
     def utilization_series(self, key: str) -> List[Tuple[float, float, float]]:
@@ -144,6 +170,9 @@ class FlowRateRecorder:
         self.segments: Dict[int, List[List[float]]] = {}
         #: flow id -> ((link key, capacity), ...) of its pinned path.
         self.paths: Dict[int, Tuple[Tuple[str, float], ...]] = {}
+        #: flow id -> [(since, path), ...] for flows a fault migrated; the
+        #: admission path's epoch starts at -inf (see FlowFact.path_epochs).
+        self.epochs: Dict[int, List[Tuple[float, Tuple[Tuple[str, float], ...]]]] = {}
         #: flow id -> [since, rate] of the currently-open span.
         self._open: Dict[int, List[float]] = {}
         self._finished: deque = deque()
@@ -156,6 +185,19 @@ class FlowRateRecorder:
         self.paths[flow_id] = path
         self.segments[flow_id] = []
         self._open[flow_id] = [now, 0.0]
+
+    def on_rerouted(
+        self, flow_id: int, path: Tuple[Tuple[str, float], ...], now: float
+    ) -> None:
+        """Pin ``path`` from ``now`` on, keeping the earlier path epochs."""
+        old = self.paths.get(flow_id)
+        if old is None:
+            return
+        self.on_rate_change(flow_id, now, 0.0)
+        self.epochs.setdefault(flow_id, [(float("-inf"), old)]).append(
+            (now, path)
+        )
+        self.paths[flow_id] = path
 
     def _close(self, flow_id: int, now: float) -> None:
         span = self._open[flow_id]
@@ -188,6 +230,7 @@ class FlowRateRecorder:
             victim = self._finished.popleft()
             self.total_segments -= len(self.segments.pop(victim, ()))
             self.paths.pop(victim, None)
+            self.epochs.pop(victim, None)
             self.evicted_flows += 1
         return series
 
@@ -233,6 +276,13 @@ class Instrumentation:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.link_timeline = LinkTimeline() if sample_links else None
+        #: Link.key -> "src->dst" for every hook; the timeline's own table
+        #: when there is one, so each name is formatted once per run.
+        self.link_names = (
+            self.link_timeline.names
+            if self.link_timeline is not None
+            else LinkNames()
+        )
         self.event_log = event_log
         self.log_link_samples = log_link_samples
         self.rate_recorder = (
@@ -432,10 +482,8 @@ class Instrumentation:
         """The network pinned ``path`` for a freshly injected flow."""
         if self.rate_recorder is None and self.event_log is None:
             return
-        key_path = tuple(
-            (LinkTimeline.link_key(link.src, link.dst), link.capacity)
-            for link in path
-        )
+        names = self.link_names
+        key_path = tuple((names[link.key], link.capacity) for link in path)
         if self.rate_recorder is not None:
             self.rate_recorder.on_admitted(flow.flow_id, key_path, now)
         elif self.event_log is not None:
@@ -452,16 +500,13 @@ class Instrumentation:
         """A fault migrated an in-flight flow onto a new path."""
         self.registry.counter("flows_rerouted_total").inc()
         self.reroutes[flow_id] = self.reroutes.get(flow_id, 0) + 1
-        key_path = tuple(
-            (LinkTimeline.link_key(link.src, link.dst), link.capacity)
-            for link in new_path
-        )
+        names = self.link_names
+        key_path = tuple((names[link.key], link.capacity) for link in new_path)
         if self.rate_recorder is not None:
-            # The migrated flow restarts at rate 0 on the new path; close
-            # its open span so no old-path rate bleeds past the fault.
-            self.rate_recorder.on_rate_change(flow_id, now, 0.0)
-            if flow_id in self.rate_recorder.paths:
-                self.rate_recorder.paths[flow_id] = key_path
+            # The migrated flow restarts at rate 0 on the new path; the
+            # recorder closes its open span so no old-path rate bleeds
+            # past the fault, and opens a new path epoch.
+            self.rate_recorder.on_rerouted(flow_id, key_path, now)
         elif self.event_log is not None and flow_id in self._pending_paths:
             self._pending_paths[flow_id] = key_path
         if self.event_log is not None:
@@ -469,14 +514,9 @@ class Instrumentation:
                 "flow_rerouted",
                 now,
                 flow_id=flow_id,
-                old_path=[
-                    LinkTimeline.link_key(link.src, link.dst)
-                    for link in old_path
-                ],
-                new_path=[
-                    LinkTimeline.link_key(link.src, link.dst)
-                    for link in new_path
-                ],
+                old_path=[names[link.key] for link in old_path],
+                new_path=[name for name, _capacity in key_path],
+                path=[list(hop) for hop in key_path],
             )
 
     def on_network_advance(self, now: float, dt: float, usage: Mapping) -> None:
@@ -490,8 +530,9 @@ class Instrumentation:
             # alone is blind to a link renegotiating to a lower speed.
             links: Dict[str, float] = {}
             caps: Dict[str, float] = {}
+            names = self.link_names
             for link, rate in usage.items():
-                key = LinkTimeline.link_key(link.src, link.dst)
+                key = names[link.key]
                 capacity = link.capacity
                 links[key] = rate / capacity if capacity > 0 else 0.0
                 caps[key] = capacity

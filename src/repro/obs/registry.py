@@ -149,14 +149,14 @@ class MetricsRegistry:
     # -- series accessors (create on first touch) ----------------------
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _label_key(labels))
+        key = (name, _label_key(labels) if labels else ())
         series = self._counters.get(key)
         if series is None:
             series = self._counters[key] = Counter()
         return series
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = (name, _label_key(labels))
+        key = (name, _label_key(labels) if labels else ())
         series = self._gauges.get(key)
         if series is None:
             series = self._gauges[key] = Gauge()
@@ -165,7 +165,7 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None, **labels: str
     ) -> Histogram:
-        key = (name, _label_key(labels))
+        key = (name, _label_key(labels) if labels else ())
         series = self._histograms.get(key)
         if series is None:
             series = self._histograms[key] = Histogram(buckets)

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.core.flow import Flow
 from repro.core.units import gbps, megabytes
 from repro.obs import Instrumentation, JsonlEventLog
 from repro.obs.diagnosis import (
@@ -28,10 +29,12 @@ from repro.obs.diagnosis import (
     render_diagnosis,
     render_diff,
 )
+from repro.obs.diagnosis.diff import _link_busy
 from repro.obs.instrumentation import FlowRateRecorder
-from repro.scheduling import make_scheduler
+from repro.scheduling import FairSharingScheduler, make_scheduler
 from repro.simulator import Engine
 from repro.topology import leaf_spine, linear_chain, two_hosts
+from repro.topology.routing import EcmpRouter
 from repro.workloads import (
     build_dp_allreduce,
     build_fsdp,
@@ -269,6 +272,71 @@ class TestAttribution:
         result = attribute_run(artifacts)
         assert result["coverage"]["evicted_flows"] > 0
         assert result["coverage"]["with_rate_data"] < 3
+
+
+class TestRerouteBlame:
+    """A fault migrates flow 0 onto flow 1's spine link half a second in.
+
+    Each flow needs 2 s alone on a 2.5 Gb/s spine link. Both run alone
+    until the fault, then share leaf0->spine1 for 3 s and finish at 3.5:
+    1.5 s of contention each and no idle bottleneck bandwidth. Blaming
+    flow 0's whole life on its final path would charge the 0.5 s it
+    spent on spine0 too.
+    """
+
+    @staticmethod
+    def _run():
+        topology = leaf_spine(2, 2, gbps(10), oversubscription=4.0)
+        obs = Instrumentation(event_log=JsonlEventLog())
+        engine = Engine(
+            topology,
+            FairSharingScheduler(),
+            router=EcmpRouter(topology),
+            instrumentation=obs,
+            faults="link_down:leaf0-spine0@0.5",
+        )
+        for src, dst in (("h0", "h2"), ("h1", "h3")):
+            engine.inject_background_flow(
+                Flow(src, dst, 2.0 * gbps(2.5)), at_time=0.0
+            )
+        trace = engine.run()
+        return trace, obs
+
+    def test_both_sources_blame_only_the_shared_epoch(self):
+        trace, obs = self._run()
+        assert sum(obs.reroutes.values()) == 1
+        for artifacts in (
+            RunArtifacts.from_run(trace, obs),
+            RunArtifacts.from_events(obs.event_log.events),
+        ):
+            flows = attribute_run(artifacts)["flows"]
+            assert len(flows) == 2
+            for attr in flows:
+                assert attr.finish == pytest.approx(3.5, abs=1e-9)
+                assert attr.bottleneck == "leaf0->spine1"
+                assert attr.contention_total == pytest.approx(1.5, abs=1e-9)
+                assert attr.residual == pytest.approx(0.0, abs=1e-9)
+
+    def test_sources_agree_on_path_epochs(self):
+        trace, obs = self._run()
+        from_run = RunArtifacts.from_run(trace, obs)
+        from_events = RunArtifacts.from_events(obs.event_log.events)
+        moved = [f for f in from_run.flows.values() if f.path_epochs]
+        assert len(moved) == 1
+        (since0, first), (since1, last) = moved[0].path_epochs
+        assert since0 == float("-inf") and since1 == pytest.approx(0.5)
+        assert "leaf0->spine0" in dict(first)
+        assert last == moved[0].path and "leaf0->spine1" in dict(last)
+        for flow_id, fact in from_run.flows.items():
+            other = from_events.flows[flow_id]
+            assert other.path == fact.path
+            assert other.path_epochs == fact.path_epochs
+        # Run-diff's busy seconds follow the epochs too: flow 0 held
+        # leaf0->spine0 for 0.5 s, then shared leaf0->spine1 with flow 1.
+        busy = _link_busy(from_events)
+        assert busy["leaf0->spine0"] == pytest.approx(0.5, abs=1e-9)
+        assert busy["leaf0->spine1"] == pytest.approx(3.5, abs=1e-9)
+        assert diff_runs(from_run, from_events)["links"] == {}
 
 
 # ----------------------------------------------------------------------
