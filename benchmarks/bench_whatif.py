@@ -26,19 +26,31 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_whatif.py            # full report
     PYTHONPATH=src python benchmarks/bench_whatif.py --smoke    # CI guard
 
-``--smoke`` answers a reduced sweep and compares the steady-state
-warm/cold *speedup ratio* against the checked-in baseline
-(``benchmarks/results/bench_whatif_baseline.json``). Ratios are
-machine-independent to first order: the guard fails only when the warm
-path itself regresses (speedup below baseline/2 or below the 5x floor),
-not when CI hardware is slow. Warm and cold answers are also
-cross-checked per query. Exit code 1 on regression or mismatch.
+It also times one :meth:`Engine.fork` with the baseline paused at 10%,
+50% and 90% of its makespan (``fork_ms``). A fork copies the live run
+state, so its cost must track the live flows, not how much history the
+run has retired; ``fork_scaling`` is the 90% time over the 10% time.
+
+``--smoke`` answers a reduced sweep and guards two ratios against the
+checked-in baseline (``benchmarks/results/bench_whatif_baseline.json``):
+
+* the steady-state warm/cold *speedup*, which fails below
+  baseline / ``SMOKE_FACTOR`` or below the 5x floor;
+* ``fork_scaling``, which fails above baseline x ``SMOKE_FACTOR``: a
+  fork that copies every retired flow again reads about 10 here.
+
+Ratios are machine-independent to first order: the guards fail when the
+warm path or the fork itself regresses, not when CI hardware is slow.
+Warm and cold answers are also cross-checked per query. Exit code 1 on
+regression or mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -59,8 +71,13 @@ ITERATIONS = 2
 #: Steady-state passes over the sweep (first warm pass primes the
 #: handle cache and is excluded from the steady-state rate).
 PASSES = 3
+#: Pause points (percent of the baseline makespan) for the fork timing,
+#: and interleaved forks timed per point.
+FORK_MARKS = (10, 50, 90)
+FORK_REPS = 21
 #: --smoke fails when the warm/cold speedup drops below
-#: baseline_speedup / SMOKE_FACTOR ...
+#: baseline_speedup / SMOKE_FACTOR, or fork_scaling rises above
+#: baseline_fork_scaling * SMOKE_FACTOR ...
 SMOKE_FACTOR = 2.0
 #: ... or below this absolute floor (the acceptance bar), whichever is
 #: stricter.
@@ -106,6 +123,28 @@ def cross_check(warm_results, cold_results) -> list:
     return problems
 
 
+def fork_times(service: WhatIfService) -> dict:
+    """Median seconds of one ``Engine.fork()`` per pause mark.
+
+    One engine is paused at each mark first; the forks are then timed
+    round-robin across the marks, so drift in machine speed lands on
+    every mark alike. Each fork is dropped before the next.
+    """
+    paused = {}
+    for mark in FORK_MARKS:
+        engine = service.engine.fork(service.genesis)
+        engine.run(until=service.baseline_makespan * mark / 100.0)
+        paused[mark] = engine
+    samples = {mark: [] for mark in FORK_MARKS}
+    gc.collect()
+    for _ in range(FORK_REPS):
+        for mark, engine in paused.items():
+            start = time.perf_counter()
+            engine.fork()
+            samples[mark].append(time.perf_counter() - start)
+    return {mark: statistics.median(times) for mark, times in samples.items()}
+
+
 def run_bench(queries, passes: int) -> dict:
     build_start = time.perf_counter()
     # The sanitizer is forced off: this benchmark measures the fork/replay
@@ -145,6 +184,15 @@ def run_bench(queries, passes: int) -> dict:
 
     speedup = warm_qps / cold_qps
     print(f"[bench_whatif] speedup: {speedup:.2f}x", flush=True)
+
+    forks = fork_times(service)
+    fork_scaling = forks[FORK_MARKS[-1]] / forks[FORK_MARKS[0]]
+    print(
+        "[bench_whatif] Engine.fork(): "
+        + ", ".join(f"{seconds * 1e3:.2f} ms at {mark}%" for mark, seconds in forks.items())
+        + f"; fork_scaling {fork_scaling:.2f}",
+        flush=True,
+    )
     return {
         "benchmark": "bench_whatif",
         "scenario": {
@@ -162,17 +210,21 @@ def run_bench(queries, passes: int) -> dict:
         "cold_qps": round(cold_qps, 4),
         "speedup": round(speedup, 3),
         "cached_handles": len(service._handles),
+        "fork_ms": {str(mark): round(seconds * 1e3, 4) for mark, seconds in forks.items()},
+        "fork_scaling": round(fork_scaling, 3),
     }
 
 
 def smoke() -> int:
-    """CI guard: the warm path must stay >= 5x and near its baseline."""
+    """CI guard: the warm path must stay >= 5x and near its baseline, and
+    a late fork must cost about what an early one does."""
     try:
         baseline = json.loads(BASELINE_PATH.read_text())
     except FileNotFoundError:
         print(f"[bench_whatif] missing baseline {BASELINE_PATH}", file=sys.stderr)
         return 1
     report = run_bench(build_queries(), passes=1)
+    status = 0
     floor = max(MIN_SPEEDUP, baseline["speedup"] / SMOKE_FACTOR)
     print(
         f"[bench_whatif] smoke: speedup {report['speedup']:.2f}x, baseline "
@@ -186,8 +238,23 @@ def smoke() -> int:
             f"floor {MIN_SPEEDUP}x)",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        status = 1
+    ceiling = baseline["fork_scaling"] * SMOKE_FACTOR
+    print(
+        f"[bench_whatif] smoke: fork_scaling {report['fork_scaling']:.2f}, "
+        f"baseline {baseline['fork_scaling']:.2f}, required <= {ceiling:.2f}"
+    )
+    if report["fork_scaling"] > ceiling:
+        print(
+            f"[bench_whatif] REGRESSION: a fork at {FORK_MARKS[-1]}% of the "
+            f"makespan costs {report['fork_scaling']:.2f}x one at "
+            f"{FORK_MARKS[0]}%, above {ceiling:.2f} (baseline "
+            f"{baseline['fork_scaling']:.2f} x {SMOKE_FACTOR}): forks are "
+            f"copying retired history again",
+            file=sys.stderr,
+        )
+        status = 1
+    return status
 
 
 def main(argv=None) -> int:

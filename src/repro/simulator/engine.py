@@ -35,6 +35,12 @@ from .trace import ComputeSpan, FlowRecord, SimulationTrace, TaskEvent
 #: Events closer together than this are processed in the same round.
 TIME_EPS = 1e-9
 
+#: A run fails fast after this many consecutive rounds in which the clock
+#: did not move, no event fired and no flow retired. Such a round leaves
+#: the engine exactly as it found it, so one is already a livelock; the
+#: margin only keeps the check off any legitimate zero-time sequence.
+STALL_ROUNDS = 1000
+
 #: When several state changes coalesce into one scheduling round, the
 #: invocation is attributed to the highest-precedence cause: a network
 #: fault outranks a flow arrival, which outranks a departure, a bare
@@ -581,6 +587,7 @@ class Engine:
 
     def _run(self, until: float, max_rounds: int) -> SimulationTrace:
         rounds = 0
+        stalled = 0
         paused = False
         while True:
             rounds += 1
@@ -613,6 +620,7 @@ class Engine:
 
             # Advance the fluid model to the event time.
             finished_flows = self.network.advance(next_time - self.now, self.now)
+            moved = next_time != self.now
             self.now = next_time
             for state in finished_flows:
                 self._on_flow_finished(state)
@@ -646,13 +654,45 @@ class Engine:
             # Flows that finished exactly as a rate change landed. The
             # zero-length advance retires them via the finish index (or a
             # scan in reference mode) without draining anyone.
-            for state in self.network.advance(0.0, self.now):
+            settled = self.network.advance(0.0, self.now)
+            for state in settled:
                 self._on_flow_finished(state)
+
+            if moved or due_events or finished_flows or settled:
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled >= STALL_ROUNDS:
+                    raise self._stall_error(stalled, net_interval)
 
         self.trace.end_time = self.now
         if self.check is not None and not paused:
             self.check.on_run_end(self.trace)
         return self.trace
+
+    def _stall_error(self, rounds: int, interval: float) -> SimulationError:
+        """Diagnose a livelock: the flows nearest to finishing, whose
+        projected interval no longer moves the clock."""
+        stuck = sorted(
+            (
+                state.remaining / state.rate if state.rate > EPS else float("inf"),
+                state.flow.flow_id,
+                state,
+            )
+            for state in self.network.active_states()
+        )
+        details = ", ".join(
+            f"flow {fid} (remaining={state.remaining!r}, rate={state.rate!r}, "
+            f"projected interval={projected!r})"
+            for projected, fid, state in stuck[:5]
+        )
+        return SimulationError(
+            f"no progress at t={self.now!r}: {rounds} consecutive rounds "
+            f"without the clock moving, an event firing or a flow retiring "
+            f"(the next network interval, {interval!r} s, does not move "
+            f"the clock); {len(stuck)} active flows, nearest to "
+            f"finishing: {details}"
+        )
 
     # ------------------------------------------------------------------
     # snapshot / fork / restore

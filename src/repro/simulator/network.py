@@ -121,6 +121,9 @@ class NetworkModel:
                 )
         self.vector_mode = vector
         self._active: Dict[int, FlowState] = {}
+        #: Pinned path of every flow, active or retired. A fork translates
+        #: the active flows' paths and inherits retired ones untranslated;
+        #: :meth:`path` re-keys those onto this model's links on first read.
         self._paths: Dict[int, Tuple[Link, ...]] = {}
         self._completed: Dict[int, FlowState] = {}
         #: Total bytes delivered, for conservation checks.
@@ -150,7 +153,7 @@ class NetworkModel:
         #: Active flow ids in ascending order (the canonical iteration
         #: order everywhere a scan used to call ``sorted``).
         self._order: List[int] = []
-        #: flow id -> unit-weight FlowDemand built once at inject time.
+        #: Active flow id -> unit-weight FlowDemand built once at inject time.
         self._demands: Dict[int, FlowDemand] = {}
         #: Structural revision of the active flow set: bumped on every
         #: inject/retire/reroute. Keys the cached :class:`DemandSet` (and
@@ -165,6 +168,9 @@ class NetworkModel:
         #: Min-heap of (finish key, flow id, token); stale entries carry
         #: an outdated token and are dropped when popped.
         self._finish_heap: List[Tuple[float, int, int]] = []
+        #: Active flow id -> its current heap token. Retirement drops the
+        #: entry; a retired flow's leftover heap entries are discarded by
+        #: the ``flow_id not in active`` check wherever entries are popped.
         self._heap_token: Dict[int, int] = {}
         #: EchelonFlow buckets: group id -> (sorted fid list, state list).
         self._group_fids: Dict[Optional[str], List[int]] = {}
@@ -180,12 +186,18 @@ class NetworkModel:
         Copy-on-write at the object level: immutable heavy objects --
         :class:`~repro.core.flow.Flow` descriptions, retired
         :class:`~repro.core.flow.FlowState` (never mutated after
-        ``_retire``), frozen demands' link tuples -- are shared by
+        ``_retire``), retired flows' pinned paths -- are shared by
         reference; everything mutable is copied. The topology is cloned
         (fresh :class:`Link` objects, since fault injection mutates
-        ``Link.capacity`` in place) and every link reference -- pinned
-        paths, demands, residual accounting, the router's caches -- is
-        translated onto the clone.
+        ``Link.capacity`` in place) and every live link reference --
+        active flows' paths and demands, residual accounting, the
+        router's caches -- is translated onto the clone.
+
+        Cost is O(active flows + links + cached routes) Python work: only
+        the live flows are re-translated and re-wrapped; the retired
+        history travels as two C-level dict copies (states and paths).
+        A retired flow's path is re-keyed onto the clone's links lazily,
+        by :meth:`path`, the first time someone asks for it.
 
         Exactness rules that make forked-and-resumed runs bit-identical
         to uninterrupted ones:
@@ -243,14 +255,13 @@ class NetworkModel:
             for fid, state in self._active.items()
         }
         translate = topology.link
-        twin._paths = {
-            fid: tuple(translate(link.src, link.dst) for link in path)
-            for fid, path in self._paths.items()
-        }
-        twin._demands = {
-            fid: FlowDemand(flow_id=fid, path=twin._paths[fid])
-            for fid in self._demands
-        }
+        paths = self._paths
+        twin._paths = dict(paths)
+        twin._demands = {}
+        for fid in self._order:
+            path = tuple(translate(*link.key) for link in paths[fid])
+            twin._paths[fid] = path
+            twin._demands[fid] = FlowDemand(flow_id=fid, path=path)
         link_map = {key: translate(*key) for key in self.accounting.links}
         twin.accounting = self.accounting.clone(link_map)
         twin._columns = dict(self._columns)
@@ -299,14 +310,20 @@ class NetworkModel:
         return state
 
     def _retire(self, state: FlowState, finish_time: float) -> None:
-        """Move a drained flow from the active set to the completed set."""
+        """Move a drained flow from the active set to the completed set.
+
+        Everything only live flows need (demand, heap token, link
+        columns, drain anchor) is dropped; only the pinned path stays,
+        for :meth:`path`. A fork never touches the flow again.
+        """
         flow_id = state.flow.flow_id
         old_rate = state.rate
         state.finish_time = finish_time
         state.rate = 0.0
         self.accounting.unwatch(flow_id, self._paths[flow_id], old_rate)
         self._columns.pop(flow_id, None)
-        self._heap_token[flow_id] = self._heap_token.get(flow_id, 0) + 1
+        del self._demands[flow_id]
+        self._heap_token.pop(flow_id, None)
         self._demands_rev += 1
         del self._active[flow_id]
         del self._anchor[flow_id]
@@ -483,7 +500,19 @@ class NetworkModel:
         return self._completed[flow_id]
 
     def path(self, flow_id: int) -> Tuple[Link, ...]:
-        return self._paths[flow_id]
+        """A flow's pinned path, active or retired, on this model's links.
+
+        A retired path inherited from a fork's parent still holds the
+        parent's :class:`Link` objects; it is re-keyed onto this model's
+        topology on first read and stored back, so a fork never hands
+        out (or lets anyone mutate through) its parent's links.
+        """
+        path = self._paths[flow_id]
+        translate = self.topology.link
+        if path and translate(*path[0].key) is not path[0]:
+            path = tuple(translate(*hop.key) for hop in path)
+            self._paths[flow_id] = path
+        return path
 
     def columns(self, flow_id: int) -> Tuple[int, ...]:
         """An active flow's path as link columns (see

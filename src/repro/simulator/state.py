@@ -22,10 +22,13 @@ The contract, proven by ``tests/test_whatif.py``:
   copied entries keep their sequence numbers while new entries always
   draw larger ones.
 * **Copy-on-write for heavy state.** Immutable objects -- ``Flow`` and
-  ``Task`` descriptions, frozen trace records, retired flow states,
-  ``TaskDag`` structures -- are shared by reference across parent, handle,
-  and every fork; only the mutable containers and live ``FlowState``
-  objects are duplicated.
+  ``Task`` descriptions, frozen trace records, retired flow states and
+  their pinned paths, ``TaskDag`` structures -- are shared by reference
+  across parent, handle, and every fork; only the mutable containers and
+  live ``FlowState`` objects are duplicated. The per-flow Python work of
+  a capture or fork is therefore proportional to the live flows; the
+  retired history travels as flat container copies (see
+  :meth:`NetworkModel.fork`).
 
 What does *not* travel (documented detachment):
 

@@ -9,6 +9,14 @@ computed once per topology and cached. Two policies:
   a stable hash of the flow id, approximating per-flow ECMP spraying.
 
 Both return paths as tuples of :class:`~repro.topology.graph.Link`.
+
+Cost: a router keeps, per destination (and blocked-link set), the
+shortest-path DAG into it -- a reverse BFS, O(links) in total, grown only
+as far as the farthest source asked so far -- and enumerates a pair's
+paths by walking that DAG, so a cold pair costs O(limit x hops) once its
+destination's DAG reaches it, and a cached pair is a dictionary hit.
+Routing every pair of an ``n``-host fabric is O(n x links + pairs x limit
+x hops), never a search over nodes that cannot reach the destination.
 """
 
 from __future__ import annotations
@@ -23,58 +31,95 @@ class RoutingError(Exception):
     """Raised when no path exists between requested endpoints."""
 
 
+class _ShortestPathDag:
+    """The shortest-path DAG into one destination, grown on demand.
+
+    A reverse BFS over in-links: a link ``u -> v`` is on some shortest
+    path to the destination exactly when ``hops(u) == hops(v) + 1``, so
+    each node's next hops (``nexts``, sorted by name) are collected as the
+    BFS scans the level below it. The BFS stops as soon as a level
+    containing the requested source is complete and resumes from its
+    frontier for a farther source, so a destination's DAG costs O(links)
+    in total however many sources ask. Links in ``blocked`` are absent.
+    Entries hold node names only: a forked router over a cloned topology
+    shares them.
+    """
+
+    __slots__ = ("blocked", "hops", "nexts", "frontier")
+
+    def __init__(self, dst: str, blocked: FrozenSet[Tuple[str, str]]) -> None:
+        self.blocked = blocked
+        self.hops: Dict[str, int] = {dst: 0}
+        self.nexts: Dict[str, List[str]] = {dst: []}
+        self.frontier: List[str] = [dst]
+
+    def reach(self, topo: Topology, src: str) -> Dict[str, List[str]]:
+        """Grow until ``src`` (if it can reach the destination) and every
+        node nearer than it have their complete next-hop lists."""
+        hops, nexts, blocked = self.hops, self.nexts, self.blocked
+        while self.frontier and src not in hops:
+            level = hops[self.frontier[0]] + 1
+            found: List[str] = []
+            for node in self.frontier:
+                for link in topo.in_links(node):
+                    if link.key in blocked:
+                        continue
+                    prev = link.src
+                    seen = hops.get(prev)
+                    if seen is None:
+                        hops[prev] = level
+                        nexts[prev] = [node]
+                        found.append(prev)
+                    elif seen == level:
+                        nexts[prev].append(node)
+            for prev in found:
+                nexts[prev].sort()
+            self.frontier = found
+        return nexts
+
+
+#: A router's DAGs, keyed by ``(destination, blocked-link set)``.
+NextHopCache = Dict[Tuple[str, FrozenSet[Tuple[str, str]]], _ShortestPathDag]
+
+
 def _all_shortest_paths(
     topo: Topology,
     src: str,
     dst: str,
-    limit: int = 16,
-    blocked: Optional[FrozenSet[Tuple[str, str]]] = None,
+    limit: int,
+    blocked: FrozenSet[Tuple[str, str]],
+    cache: NextHopCache,
 ) -> List[Tuple[str, ...]]:
     """Enumerate up to ``limit`` shortest hop-count node paths src -> dst.
 
-    A small custom BFS/Dijkstra keeps the dependency surface minimal and the
-    tie-breaking deterministic (lexicographic by node path). Links whose
-    ``(src, dst)`` key is in ``blocked`` are treated as absent (downed).
+    Paths come in lexicographic node order (deterministic tie-breaking).
+    Links whose ``(src, dst)`` key is in ``blocked`` are treated as absent
+    (downed). The walk follows the destination's shortest-path DAG
+    (:class:`_ShortestPathDag`), so it only ever visits nodes on a
+    shortest path: O(limit x hops) per pair once the DAG reaches ``src``.
+    ``cache`` is the router's, so each DAG is built once per destination.
     """
     if src == dst:
         return [(src,)]
-    blocked = blocked or frozenset()
-    # BFS level computation.
-    dist: Dict[str, int] = {src: 0}
-    frontier = [src]
-    while frontier and dst not in dist:
-        next_frontier: List[str] = []
-        for node in frontier:
-            for link in topo.out_links(node):
-                if link.key in blocked:
-                    continue
-                if link.dst not in dist:
-                    dist[link.dst] = dist[node] + 1
-                    next_frontier.append(link.dst)
-        frontier = next_frontier
-    if dst not in dist:
+    dag = cache.get((dst, blocked))
+    if dag is None:
+        dag = cache[(dst, blocked)] = _ShortestPathDag(dst, blocked)
+    nexts = dag.reach(topo, src)
+    if src not in nexts:
         raise RoutingError(f"no path from {src!r} to {dst!r}")
-    # Enumerate shortest paths by DFS over the BFS DAG, lexicographic order.
-    target_len = dist[dst]
     paths: List[Tuple[str, ...]] = []
 
     def extend(path: List[str]) -> None:
-        if len(paths) >= limit:
-            return
         node = path[-1]
         if node == dst:
             paths.append(tuple(path))
             return
-        if len(path) - 1 >= target_len:
-            return
-        for link in sorted(topo.out_links(node), key=lambda l: l.dst):
-            if link.key in blocked:
-                continue
-            nxt = link.dst
-            if dist.get(nxt, -1) == len(path):
-                path.append(nxt)
-                extend(path)
-                path.pop()
+        for nxt in nexts[node]:
+            if len(paths) >= limit:
+                return
+            path.append(nxt)
+            extend(path)
+            path.pop()
 
     extend([src])
     return paths
@@ -86,6 +131,7 @@ def _shortest_paths_or_degraded(
     dst: str,
     limit: int,
     blocked: FrozenSet[Tuple[str, str]],
+    cache: NextHopCache,
 ) -> List[Tuple[str, ...]]:
     """Prefer paths that avoid blocked links; fall back to ignoring them.
 
@@ -97,10 +143,10 @@ def _shortest_paths_or_degraded(
     """
     if blocked:
         try:
-            return _all_shortest_paths(topo, src, dst, limit, blocked)
+            return _all_shortest_paths(topo, src, dst, limit, blocked, cache)
         except RoutingError:
             pass
-    return _all_shortest_paths(topo, src, dst, limit)
+    return _all_shortest_paths(topo, src, dst, limit, frozenset(), cache)
 
 
 def _translate_path(
@@ -121,10 +167,12 @@ class _BlockingMixin:
 
     Blocking a link excludes it from every subsequently computed path (downed
     links during fault injection); already-admitted flows keep their pinned
-    paths until explicitly migrated. Both operations clear the route cache.
+    paths until explicitly migrated. Both operations clear the route cache
+    and the shortest-path DAGs.
     """
 
     _blocked: Set[Tuple[str, str]]
+    _next_hops: NextHopCache
 
     def block_links(self, keys) -> None:
         changed = False
@@ -135,6 +183,7 @@ class _BlockingMixin:
                 changed = True
         if changed:
             self._cache.clear()
+            self._next_hops.clear()
 
     def unblock_links(self, keys) -> None:
         changed = False
@@ -145,6 +194,7 @@ class _BlockingMixin:
                 changed = True
         if changed:
             self._cache.clear()
+            self._next_hops.clear()
 
     @property
     def blocked_links(self) -> FrozenSet[Tuple[str, str]]:
@@ -157,6 +207,7 @@ class ShortestPathRouter(_BlockingMixin):
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._cache: Dict[Tuple[str, str], Tuple[Link, ...]] = {}
+        self._next_hops: NextHopCache = {}
         self._blocked: Set[Tuple[str, str]] = set()
 
     def fork(self, topology: Topology) -> "ShortestPathRouter":
@@ -168,6 +219,7 @@ class ShortestPathRouter(_BlockingMixin):
         """
         twin = ShortestPathRouter(topology)
         twin._blocked = set(self._blocked)
+        twin._next_hops = dict(self._next_hops)
         twin._cache = {
             pair: _translate_path(topology, path)
             for pair, path in self._cache.items()
@@ -175,14 +227,16 @@ class ShortestPathRouter(_BlockingMixin):
         return twin
 
     def path(self, src: str, dst: str, flow_id: Optional[int] = None) -> Tuple[Link, ...]:
-        self.topology.validate_endpoints(src, dst)
-        key = (src, dst)
-        if key not in self._cache:
+        path = self._cache.get((src, dst))
+        if path is None:
+            self.topology.validate_endpoints(src, dst)
             node_paths = _shortest_paths_or_degraded(
-                self.topology, src, dst, 1, frozenset(self._blocked)
+                self.topology, src, dst, 1, frozenset(self._blocked),
+                self._next_hops,
             )
-            self._cache[key] = _links_of(self.topology, node_paths[0])
-        return self._cache[key]
+            path = _links_of(self.topology, node_paths[0])
+            self._cache[(src, dst)] = path
+        return path
 
 
 class EcmpRouter(_BlockingMixin):
@@ -197,6 +251,7 @@ class EcmpRouter(_BlockingMixin):
         self.topology = topology
         self.fanout_limit = fanout_limit
         self._cache: Dict[Tuple[str, str], List[Tuple[Link, ...]]] = {}
+        self._next_hops: NextHopCache = {}
         self._blocked: Set[Tuple[str, str]] = set()
 
     def fork(self, topology: Topology) -> "EcmpRouter":
@@ -205,6 +260,7 @@ class EcmpRouter(_BlockingMixin):
         order so flow-id hashing picks the same path on the fork."""
         twin = EcmpRouter(topology, fanout_limit=self.fanout_limit)
         twin._blocked = set(self._blocked)
+        twin._next_hops = dict(self._next_hops)
         twin._cache = {
             pair: [_translate_path(topology, path) for path in paths]
             for pair, paths in self._cache.items()
@@ -217,7 +273,7 @@ class EcmpRouter(_BlockingMixin):
             self.topology.validate_endpoints(src, dst)
             node_paths = _shortest_paths_or_degraded(
                 self.topology, src, dst, self.fanout_limit,
-                frozenset(self._blocked),
+                frozenset(self._blocked), self._next_hops,
             )
             self._cache[key] = [_links_of(self.topology, p) for p in node_paths]
         return self._cache[key]

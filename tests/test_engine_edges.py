@@ -1,8 +1,11 @@
 """Engine edge cases: deadlock detection, round limits, ECMP routing."""
 
+import random
+import re
+
 import pytest
 
-from repro import Engine, leaf_spine, two_hosts
+from repro import Engine, big_switch, leaf_spine, two_hosts
 from repro.core.flow import Flow
 from repro.scheduling import FairSharingScheduler
 from repro.scheduling.base import Scheduler
@@ -78,6 +81,27 @@ def test_max_rounds_guard():
     engine.submit(dag)
     with pytest.raises(SimulationError, match="rounds"):
         engine.run(max_rounds=2)
+
+
+@pytest.mark.parametrize("interval", [None, 0.05])
+def test_stalled_clock_fails_fast_with_diagnosis(interval):
+    """At t0 = 1e7 s one float ULP of the clock (~2e-9 s) swallows the
+    next finish interval: every round leaves the engine unchanged. The
+    run must stop with a diagnosis long before the round cap."""
+    rng = random.Random(0)
+    topo = big_switch(8, 25.0)
+    engine = Engine(
+        topo, FairSharingScheduler(), scheduling_interval=interval
+    )
+    hosts = topo.hosts
+    for _ in range(200):
+        src, dst = rng.sample(hosts, 2)
+        engine.inject_background_flow(Flow(src, dst, rng.uniform(1.0, 2.0)), 1e7)
+    with pytest.raises(SimulationError, match="no progress") as excinfo:
+        engine.run(max_rounds=100_000)
+    message = str(excinfo.value)
+    assert "t=1000000" in message
+    assert re.search(r"flow \d+ \(remaining=\S+, rate=\S+, projected interval=", message)
 
 
 def test_engine_with_ecmp_router():
