@@ -28,6 +28,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py                 # full sweep
     PYTHONPATH=src python benchmarks/bench_scale.py --sizes 100,1000
     PYTHONPATH=src python benchmarks/bench_scale.py --huge          # adds 1M
+    PYTHONPATH=src python benchmarks/bench_scale.py --fabric fat_tree --sizes 300,1000
+
+``--fabric fat_tree`` runs the same traffic on ``fat_tree(8)`` (128
+hosts, 2- to 6-link ECMP paths) instead of the 64-host big switch (2-link
+paths); the smoke guards always use the big switch.
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke         # CI guard
 
 ``--smoke`` runs small points a few times and compares five *time
@@ -35,8 +40,9 @@ ratios* -- each the median over ``SMOKE_REPEATS`` attempts -- against the
 checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
 
 * ``ratio``: incremental / reference (the core speedup),
-* ``instrumented_ratio``: instrumented-incremental / incremental (the
-  full observability stack must stay cheap),
+* ``instrumented_ratio``: instrumented-incremental / incremental at
+  ``VECTOR_SMOKE_FLOWS`` flows (the full observability stack must stay
+  cheap; at a few hundred flows the runs are too short to time),
 * ``vector_ratio``: vector / incremental at ``VECTOR_SMOKE_FLOWS`` flows
   (the vector kernel must stay ahead of the scalar incremental path at a
   size past the auto-select threshold),
@@ -73,10 +79,11 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro.core.flow import Flow
+from repro.core.flow import Flow, FlowIdAllocator, use_flow_id_allocator
 from repro.scheduling import EchelonMaddScheduler, FairSharingScheduler
 from repro.simulator import Engine
-from repro.topology import big_switch
+from repro.topology import big_switch, fat_tree
+from repro.topology.routing import EcmpRouter
 
 RESULTS_DIR = ROOT / "benchmarks" / "results"
 REPORT_PATH = RESULTS_DIR / "bench_scale.json"
@@ -103,8 +110,10 @@ HUGE_FLOWS = 1_000_000
 #: ratio exceeds the checked-in baseline ratio by more than this.
 SMOKE_FACTOR = 2.0
 SMOKE_FLOWS = 400
-#: The vector guard runs past the auto-select threshold (2048 flows) so
-#: it measures the kernel the engine would actually pick at this size.
+#: The vector and instrumentation guards' size: past the auto-select
+#: threshold, so the vector guard measures the kernel the engine would
+#: actually pick, and long enough a run (about a second incremental)
+#: that the instrumentation ratio is not timer noise.
 VECTOR_SMOKE_FLOWS = 4000
 #: The echelon guard's size: enough flows per decision that the
 #: scheduler kernels, not the event loop, set the echelon run time, and
@@ -116,6 +125,9 @@ REPORT_SMOKE_JOBS = 16
 SMOKE_REPEATS = 3
 
 MODES = ("reference", "incremental", "vector")
+FABRICS = ("big_switch", "fat_tree")
+#: Arity of the ``fat_tree`` fabric: k^3/4 = 128 hosts.
+FAT_TREE_K = 8
 
 
 def _make_scheduler(name: str):
@@ -132,6 +144,7 @@ def build_engine(
     seed: int,
     scheduler: str,
     instrumentation=None,
+    fabric: str = "big_switch",
 ) -> Engine:
     """A multi-job all-to-all scenario with ``n_flows`` concurrent flows.
 
@@ -142,11 +155,21 @@ def build_engine(
     """
     if mode not in MODES:
         raise ValueError(f"unknown allocation mode {mode!r} (choose from {MODES})")
-    bandwidth = max(1.0, n_flows / N_HOSTS)
-    topology = big_switch(N_HOSTS, host_bandwidth=bandwidth, name="bench-scale")
+    router = None
+    if fabric == "big_switch":
+        n_hosts = N_HOSTS
+        bandwidth = max(1.0, n_flows / n_hosts)
+        topology = big_switch(n_hosts, host_bandwidth=bandwidth, name="bench-scale")
+    elif fabric == "fat_tree":
+        n_hosts = FAT_TREE_K**3 // 4
+        topology = fat_tree(FAT_TREE_K, max(1.0, n_flows / n_hosts))
+        router = EcmpRouter(topology)
+    else:
+        raise ValueError(f"unknown fabric {fabric!r} (choose from {FABRICS})")
     engine = Engine(
         topology,
         _make_scheduler(scheduler),
+        router=router,
         scheduling_interval=TICK,
         allocation=mode,
         instrumentation=instrumentation,
@@ -160,24 +183,27 @@ def build_engine(
         sanitizer=False,
     )
     rng = random.Random(seed)
-    for i in range(n_flows):
-        src = i % N_HOSTS
-        dst = (i + 1 + (i // N_HOSTS) % (N_HOSTS - 1)) % N_HOSTS
-        if dst == src:
-            dst = (dst + 1) % N_HOSTS
-        job = i % N_JOBS
-        engine.inject_background_flow(
-            Flow(
-                src=f"h{src}",
-                dst=f"h{dst}",
-                size=1.0 + rng.random(),
-                group_id=f"job{job}/g{i // (N_JOBS * GROUP_SIZE)}",
-                index_in_group=(i // N_JOBS) % GROUP_SIZE,
-                job_id=f"job{job}",
-                tag="bench",
-            ),
-            at_time=0.0,
-        )
+    # Ids from 0 in every engine: ECMP hashes the flow id, so modes
+    # compared on fat_tree must draw the same ids to take the same paths.
+    with use_flow_id_allocator(FlowIdAllocator()):
+        for i in range(n_flows):
+            src = i % n_hosts
+            dst = (i + 1 + (i // n_hosts) % (n_hosts - 1)) % n_hosts
+            if dst == src:
+                dst = (dst + 1) % n_hosts
+            job = i % N_JOBS
+            engine.inject_background_flow(
+                Flow(
+                    src=f"h{src}",
+                    dst=f"h{dst}",
+                    size=1.0 + rng.random(),
+                    group_id=f"job{job}/g{i // (N_JOBS * GROUP_SIZE)}",
+                    index_in_group=(i // N_JOBS) % GROUP_SIZE,
+                    job_id=f"job{job}",
+                    tag="bench",
+                ),
+                at_time=0.0,
+            )
     return engine
 
 
@@ -207,6 +233,7 @@ def run_once(
     seed: int,
     scheduler: str,
     instrumented: bool = False,
+    fabric: str = "big_switch",
 ) -> dict:
     instrumentation = None
     if instrumented:
@@ -215,7 +242,7 @@ def run_once(
         # The full recording stack the CLI obs flags would install.
         instrumentation = Instrumentation(event_log=JsonlEventLog())
     engine = build_engine(
-        n_flows, mode, seed, scheduler, instrumentation=instrumentation
+        n_flows, mode, seed, scheduler, instrumentation=instrumentation, fabric=fabric
     )
     start = time.perf_counter()
     trace = engine.run()
@@ -319,7 +346,7 @@ def _check_equivalent(n_flows: int, a: dict, b: dict) -> list:
     return problems
 
 
-def sweep(sizes, seed: int, scheduler: str) -> dict:
+def sweep(sizes, seed: int, scheduler: str, fabric: str = "big_switch") -> dict:
     points = []
     for n_flows in sizes:
         runs = {}
@@ -332,7 +359,9 @@ def sweep(sizes, seed: int, scheduler: str) -> dict:
             )
         for mode in modes:
             print(f"[bench_scale] n={n_flows}: {mode} ...", flush=True)
-            runs[mode] = run_once(n_flows, mode, seed=seed, scheduler=scheduler)
+            runs[mode] = run_once(
+                n_flows, mode, seed=seed, scheduler=scheduler, fabric=fabric
+            )
             print(
                 f"[bench_scale] n={n_flows}: {mode} "
                 f"{runs[mode]['seconds']:.3f}s",
@@ -379,7 +408,11 @@ def sweep(sizes, seed: int, scheduler: str) -> dict:
     return {
         "benchmark": "bench_scale",
         "scenario": {
-            "topology": f"big_switch({N_HOSTS})",
+            "topology": (
+                f"big_switch({N_HOSTS})"
+                if fabric == "big_switch"
+                else f"fat_tree({FAT_TREE_K}) + ECMP"
+            ),
             "scheduler": scheduler,
             "scheduling_interval": TICK,
             "jobs": N_JOBS,
@@ -444,15 +477,15 @@ def smoke(seed: int, scheduler: str) -> int:
     for attempt in range(SMOKE_REPEATS):
         ref = run_once(SMOKE_FLOWS, "reference", seed=seed, scheduler=scheduler)
         inc = run_once(SMOKE_FLOWS, "incremental", seed=seed, scheduler=scheduler)
+        vec_base = run_once(
+            VECTOR_SMOKE_FLOWS, "incremental", seed=seed, scheduler=scheduler
+        )
         obs = run_once(
-            SMOKE_FLOWS,
+            VECTOR_SMOKE_FLOWS,
             "incremental",
             seed=seed,
             scheduler=scheduler,
             instrumented=True,
-        )
-        vec_base = run_once(
-            VECTOR_SMOKE_FLOWS, "incremental", seed=seed, scheduler=scheduler
         )
         vec = run_once(VECTOR_SMOKE_FLOWS, "vector", seed=seed, scheduler=scheduler)
         fair = run_once(ECHELON_SMOKE_FLOWS, "vector", seed=seed, scheduler="fair")
@@ -464,7 +497,8 @@ def smoke(seed: int, scheduler: str) -> int:
         # Instrumentation must observe, never perturb: the instrumented
         # run is the same simulation as the bare incremental one.
         problems += [
-            "instrumented run: " + p for p in _check_equivalent(SMOKE_FLOWS, inc, obs)
+            "instrumented run: " + p
+            for p in _check_equivalent(VECTOR_SMOKE_FLOWS, vec_base, obs)
         ]
         problems += _check_equivalent(VECTOR_SMOKE_FLOWS, vec_base, vec)
         problems += [
@@ -485,7 +519,7 @@ def smoke(seed: int, scheduler: str) -> int:
             )
             return 1
         ratios.append(inc["seconds"] / ref["seconds"])
-        instr_ratios.append(obs["seconds"] / inc["seconds"])
+        instr_ratios.append(obs["seconds"] / vec_base["seconds"])
         vector_ratios.append(vec["seconds"] / vec_base["seconds"])
         echelon_ratios.append(echelon["seconds"] / fair["seconds"])
         report_ratios.append(reported["report_seconds"] / reported["seconds"])
@@ -494,7 +528,7 @@ def smoke(seed: int, scheduler: str) -> int:
             f"incremental/reference {ratios[-1]:.3f} "
             f"({inc['seconds']:.3f}s / {ref['seconds']:.3f}s), "
             f"instrumented overhead {instr_ratios[-1]:.3f}x "
-            f"({obs['seconds']:.3f}s), vector/incremental "
+            f"({obs['seconds']:.3f}s @ n={VECTOR_SMOKE_FLOWS}), vector/incremental "
             f"{vector_ratios[-1]:.3f} ({vec['seconds']:.3f}s / "
             f"{vec_base['seconds']:.3f}s @ n={VECTOR_SMOKE_FLOWS}), "
             f"echelon/fair {echelon_ratios[-1]:.3f} ({echelon['seconds']:.3f}s / "
@@ -550,6 +584,10 @@ def main(argv=None) -> int:
         help="coordinator algorithm driving the run",
     )
     parser.add_argument(
+        "--fabric", default="big_switch", choices=FABRICS,
+        help="topology the sweep runs on (the smoke guards ignore it)",
+    )
+    parser.add_argument(
         "--out", default=str(REPORT_PATH), help="JSON report destination"
     )
     parser.add_argument(
@@ -565,7 +603,7 @@ def main(argv=None) -> int:
     sizes = {int(s) for s in args.sizes.split(",") if s.strip()}
     if args.huge:
         sizes.add(HUGE_FLOWS)
-    report = sweep(sorted(sizes), args.seed, args.scheduler)
+    report = sweep(sorted(sizes), args.seed, args.scheduler, args.fabric)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")

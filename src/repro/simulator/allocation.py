@@ -71,22 +71,40 @@ class DemandSet(list):
     Plain lists (ad-hoc demand sets built by schedulers) never dispatch
     to the vector path, so reference-mode runs and weighted schedulers
     keep their pure-python cost model untouched.
+
+    ``base`` is the last dense interning the network built for an
+    earlier revision; the first :meth:`incidence` call patches it
+    (see :class:`~repro.simulator.vector.DenseIncidence`) and lets go of
+    it. A set that never reaches the vector kernel never touches it.
     """
 
-    __slots__ = ("use_vector", "_incidence")
+    __slots__ = ("use_vector", "_incidence", "_base")
 
-    def __init__(self, demands: Iterable[FlowDemand] = (), use_vector: bool = False):
+    def __init__(
+        self,
+        demands: Iterable[FlowDemand] = (),
+        use_vector: bool = False,
+        base=None,
+    ):
         super().__init__(demands)
         self.use_vector = use_vector
         self._incidence = None
+        self._base = base
 
     def incidence(self):
         """The cached dense interning (requires numpy)."""
         if self._incidence is None:
             from .vector import DenseIncidence
 
-            self._incidence = DenseIncidence(self)
+            self._incidence = DenseIncidence(self, self._base)
+            self._base = None
         return self._incidence
+
+    def latest_incidence(self):
+        """The interning built for this set, else the one it would patch."""
+        if self._incidence is not None:
+            return self._incidence
+        return self._base
 
 
 def _vector_dispatch(demands) -> bool:

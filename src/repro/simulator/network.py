@@ -550,16 +550,20 @@ class NetworkModel:
         and -- in vector mode -- the dense incidence interning built on
         first kernel dispatch. The kernel hint is stamped at build time
         from :attr:`vector_mode` (and, in ``auto`` mode, the active flow
-        count, which only changes when the revision does).
+        count, which only changes when the revision does). A vector set
+        inherits the previous set's interning to patch, so a revision
+        step pays for what changed rather than for every live flow.
         """
         rev = self._demands_rev
         cache = self._demands_cache
         if cache is not None and cache[0] == rev:
             return cache[1]
         demands = self._demands
+        use_vector = self._vector_active()
         demand_set = DemandSet(
             (demands[fid] for fid in self._order),
-            use_vector=self._vector_active(),
+            use_vector=use_vector,
+            base=cache[1].latest_incidence() if use_vector and cache else None,
         )
         self._demands_cache = (rev, demand_set)
         return demand_set

@@ -8,6 +8,11 @@ with the (flow, link) incidence stored as parallel ``rows``/``cols``
 arrays in CSR-entry order -- and re-expresses every round as a handful of
 numpy array operations with a saturation loop over links.
 
+Each round touches only the flows still rising, a new revision of a
+network's flow set patches the previous incidence instead of interning
+every flow again (:class:`DenseIncidence`), and a solve whose inputs did
+not change is returned again (:func:`max_min_fair_vector`).
+
 Bit-identity contract
 ---------------------
 
@@ -22,10 +27,14 @@ scalar and vector paths are written against one shared reduction order:
   no pairwise splitting), and the scalar kernel accumulates its dicts in
   the same (flow, path position) order, so the partial sums agree float
   for float.
-* Frozen flows participate in the vector sums with weight exactly
-  ``0.0``. Adding ``+0.0`` terms to a partial sum of non-negative values
-  is an exact no-op in IEEE arithmetic, so skipping frozen flows (scalar)
-  and zero-weighting them (vector) produce the same bits.
+* Frozen flows leave the sums. The vector kernel carries the still
+  rising rows and their incidence entries as index arrays, filtered
+  every round but never reordered, so each per-link sum still runs over
+  the surviving entries in entry order -- exactly the terms the scalar
+  kernel's ``active`` dict visits. (Dropping a frozen flow's term is the
+  same as adding the exact ``+0.0`` it would contribute, so a kernel
+  that zero-weighted frozen flows instead would agree too; it would just
+  pay for every entry in every round.)
 * The water-level rise is a ``min`` over per-link quotients and per-flow
   cap headrooms; ``min`` is order-independent for non-NaN floats, and
   both kernels form the identical quotients from identical operands.
@@ -42,6 +51,7 @@ semantics.
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
+from operator import is_
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via HAVE_NUMPY monkeypatching
@@ -56,10 +66,14 @@ from ..core.units import EPS
 
 #: Active-flow count at which ``allocation="auto"`` engines switch the
 #: max-min kernel from scalar to vector. Below it the interning overhead
-#: (array builds, dict lookups) outweighs the loop savings; above it the
-#: scalar per-flow rounds dominate the run. The two paths are
-#: bit-identical, so the crossover only affects speed, never results.
-VECTOR_AUTO_THRESHOLD = 2048
+#: (array builds, numpy call overhead) outweighs the loop savings; above
+#: it the scalar per-flow rounds dominate the run. Measured with
+#: ``benchmarks/bench_scale.py`` on a big switch and on a fat tree with
+#: ECMP: below 300 flows the winner flips from sweep to sweep, from 300
+#: on vector wins every sweep on both (table in docs/performance.md).
+#: The two paths are bit-identical, so the crossover only affects
+#: speed, never results.
+VECTOR_AUTO_THRESHOLD = 300
 
 
 class DenseIncidence:
@@ -75,13 +89,23 @@ class DenseIncidence:
     ``Link`` objects are held by reference and their capacities re-read
     per kernel call, so runtime capacity mutation (fault injection) never
     stales an incidence; only structural changes (inject/retire/reroute)
-    require a rebuild, which the network's revision-keyed cache handles.
+    require a new one, which the network's revision-keyed cache handles.
+
+    Patched build: given ``base``, the incidence of an earlier revision
+    of the same network, the new one is derived from it instead of
+    interned link by link, when the step between them is retirements
+    plus injections of flow ids above every survivor. The dead rows and
+    their entries are masked out, the surviving columns renumbered in
+    first-touch order, and only the new rows interned in python. The
+    result is array for array what a fresh build gives. Anything else --
+    a rerouted survivor (its demand object changed), new rows that would
+    land between old ones, fids out of order -- builds fresh.
     """
 
     __slots__ = (
         "demands",
         "fids",
-        "row_of",
+        "_row_of",
         "links",
         "col_of",
         "rows",
@@ -91,9 +115,19 @@ class DenseIncidence:
         "capped_rows",
         "n_flows",
         "n_links",
+        "last_solve",
     )
 
-    def __init__(self, demands: Sequence) -> None:
+    def __init__(
+        self, demands: Sequence, base: Optional["DenseIncidence"] = None
+    ) -> None:
+        #: (capacity vector bytes, rates) of the last solve without an
+        #: ``available`` override; see :func:`max_min_fair_vector`.
+        self.last_solve: Optional[Tuple[bytes, "np.ndarray"]] = None
+        if base is None or not self._patch(base, demands):
+            self._build(demands)
+
+    def _build(self, demands: Sequence) -> None:
         deduped: List = list(demands)
         row_of: Dict[int, int] = {
             demand.flow_id: row for row, demand in enumerate(deduped)
@@ -111,16 +145,73 @@ class DenseIncidence:
                 else:
                     merged[row] = demand
             deduped = merged
-        self.demands = deduped
-        self.row_of = row_of
-        self.n_flows = len(deduped)
+        self._row_of = row_of
+        self.links = []
+        self.col_of = {}
+        rows, cols = self._intern(deduped, 0)
+        self._finish(
+            deduped,
+            np.array([d.flow_id for d in deduped], dtype=np.int64),
+            np.asarray(rows, dtype=np.intp),
+            np.asarray(cols, dtype=np.intp),
+            *_weights_caps(deduped),
+        )
 
-        links: List = []
-        col_of: Dict[Tuple[str, str], int] = {}
+    def _patch(self, base: "DenseIncidence", demands: Sequence) -> bool:
+        """Derive this incidence from ``base``; ``False`` = build fresh."""
+        n = len(demands)
+        fids = np.fromiter((d.flow_id for d in demands), dtype=np.int64, count=n)
+        if n < 2 or not (fids[1:] > fids[:-1]).all():
+            return False
+        old_fids = base.fids
+        pos = np.minimum(np.searchsorted(fids, old_fids), n - 1)
+        alive = fids[pos] == old_fids
+        kept = np.flatnonzero(alive)
+        k = kept.size
+        # Survivors must lead the new order, each with the very demand
+        # object it had (a reroute replaces it).
+        if not k or not np.array_equal(fids[:k], old_fids[kept]):
+            return False
+        old_demands = base.demands
+        if not all(map(is_, demands, map(old_demands.__getitem__, kept.tolist()))):
+            return False
+
+        alive_entries = alive[base.rows]
+        rows = (np.cumsum(alive, dtype=np.intp) - 1)[base.rows[alive_entries]]
+        cols = base.cols[alive_entries]
+        first = np.full(base.n_links, cols.size, dtype=np.intp)
+        np.minimum.at(first, cols, np.arange(cols.size, dtype=np.intp))
+        order = np.argsort(first)[: np.count_nonzero(first < cols.size)]
+        renumber = np.empty(base.n_links, dtype=np.intp)
+        renumber[order] = np.arange(order.size, dtype=np.intp)
+        cols = renumber[cols]
+        base_links = base.links
+        self.links = [base_links[c] for c in order.tolist()]
+        self.col_of = {link.key: col for col, link in enumerate(self.links)}
+
+        demands = list(demands)
+        fresh = demands[k:]
+        new_rows, new_cols = self._intern(fresh, k)
+        weights, caps = _weights_caps(fresh)
+        self._row_of = None
+        self._finish(
+            demands,
+            fids,
+            np.concatenate((rows, np.asarray(new_rows, dtype=np.intp))),
+            np.concatenate((cols, np.asarray(new_cols, dtype=np.intp))),
+            np.concatenate((base.weights[kept], weights)),
+            np.concatenate((base.caps[kept], caps)),
+        )
+        return True
+
+    def _intern(self, demands: Sequence, first_row: int):
+        """Entries of ``demands`` as rows from ``first_row``; new columns
+        are appended to ``links``/``col_of`` in first-touch order."""
+        links = self.links
+        intern_col = self.col_of.setdefault
         rows: List[int] = []
         cols: List[int] = []
-        intern_col = col_of.setdefault
-        for row, demand in enumerate(deduped):
+        for row, demand in enumerate(demands, first_row):
             path = demand.path
             rows.extend([row] * len(path))
             for link in path:
@@ -128,19 +219,25 @@ class DenseIncidence:
                 if col == len(links):
                     links.append(link)
                 cols.append(col)
-        self.links = links
-        self.col_of = col_of
-        self.n_links = len(links)
+        return rows, cols
 
-        self.fids = np.array([d.flow_id for d in deduped], dtype=np.int64)
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.weights = np.array([d.weight for d in deduped], dtype=np.float64)
-        self.caps = np.array(
-            [float("inf") if d.cap is None else d.cap for d in deduped],
-            dtype=np.float64,
-        )
-        self.capped_rows = np.nonzero(np.isfinite(self.caps))[0]
+    def _finish(self, demands, fids, rows, cols, weights, caps) -> None:
+        self.demands = demands
+        self.n_flows = len(demands)
+        self.n_links = len(self.links)
+        self.fids = fids
+        self.rows = rows
+        self.cols = cols
+        self.weights = weights
+        self.caps = caps
+        self.capped_rows = np.nonzero(np.isfinite(caps))[0]
+
+    @property
+    def row_of(self) -> Dict[int, int]:
+        """Flow id -> row; a patched build makes it on first use."""
+        if self._row_of is None:
+            self._row_of = dict(zip(self.fids.tolist(), range(self.n_flows)))
+        return self._row_of
 
     def link_capacities_array(
         self, available: Optional[Mapping[Tuple[str, str], float]] = None
@@ -162,6 +259,16 @@ class DenseIncidence:
                 if col is not None:
                     caps[col] = value
         return caps
+
+
+def _weights_caps(demands: Sequence):
+    """Per-row weight and cap arrays (no cap = ``inf``)."""
+    weights = np.array([d.weight for d in demands], dtype=np.float64)
+    caps = np.array(
+        [float("inf") if d.cap is None else d.cap for d in demands],
+        dtype=np.float64,
+    )
+    return weights, caps
 
 
 class VectorAllocation(MappingABC):
@@ -229,37 +336,55 @@ def max_min_fair_vector(
 
     The saturation loop runs over *links*: each round computes the
     water-level rise from per-link residuals and weight sums (one
-    ``bincount`` each), applies it to every unfrozen flow at once, and
-    freezes the flows that hit a saturated link or their cap. The
-    reduction order matches the scalar kernel's exactly (module
-    docstring), so the returned rates agree bit for bit.
+    ``bincount`` each over the still-rising flows' entries), applies it
+    to those flows at once, and drops the ones that hit a saturated link
+    or their cap. The reduction order matches the scalar kernel's
+    exactly (module docstring), so the returned rates agree bit for bit.
+
+    The allocation is a pure function of the incidence and the capacity
+    vector. So without an ``available`` override, a call that reads the
+    same live capacities, bit for bit, as the incidence's last solve
+    returns that solve (as a fresh copy) instead of filling again; any
+    capacity change in between forces a new fill.
     """
+    capacities = incidence.link_capacities_array(available)
+    if available is not None:
+        return VectorAllocation(incidence, _water_fill(incidence, capacities))
+    key = capacities.tobytes()
+    last = incidence.last_solve
+    if last is None or last[0] != key:
+        last = (key, _water_fill(incidence, capacities))
+        incidence.last_solve = last
+    return VectorAllocation(incidence, last[1].copy())
+
+
+def _water_fill(incidence: DenseIncidence, remaining) -> "np.ndarray":
+    """Progressive filling over the rising rows only; ``remaining`` is
+    the per-column capacity vector, consumed as the level rises."""
     n = incidence.n_flows
-    rows = incidence.rows
-    cols = incidence.cols
     n_links = incidence.n_links
-
-    remaining = incidence.link_capacities_array(available)
-    rates = np.zeros(n, dtype=np.float64)
     weights = incidence.weights
-    #: Live weights: zeroed as flows freeze. The zero entries keep the
-    #: bincount sums bit-identical to the scalar kernel's skip-the-frozen
-    #: accumulation (exact +0.0 terms).
-    live = weights.copy()
-    active = np.ones(n, dtype=bool)
     caps = incidence.caps
-    capped_rows = incidence.capped_rows
+    rates = np.zeros(n, dtype=np.float64)
+    frozen = np.zeros(n, dtype=bool)
+    #: The rising rows and their weights, in row order ...
+    act_rows = np.arange(n, dtype=np.intp)
+    act_w = weights
+    #: ... their incidence entries, in entry order ...
+    ent_rows = incidence.rows
+    ent_cols = incidence.cols
+    ent_w = weights[ent_rows]
+    #: ... and the capped ones among them.
+    act_capped = incidence.capped_rows
 
-    while active.any():
-        entry_w = live[rows]
-        link_weight = np.bincount(cols, weights=entry_w, minlength=n_links)
+    while act_rows.size:
+        link_weight = np.bincount(ent_cols, weights=ent_w, minlength=n_links)
         constrained = link_weight > 0.0
         rise = float("inf")
         if constrained.any():
             rise = float(
                 np.min(remaining[constrained] / link_weight[constrained])
             )
-        act_capped = capped_rows[active[capped_rows]]
         if act_capped.size:
             heads = (caps[act_capped] - rates[act_capped]) / weights[act_capped]
             rise = min(rise, float(np.min(heads)))
@@ -267,30 +392,32 @@ def max_min_fair_vector(
             raise RuntimeError("unbounded max-min allocation (no constraints)")
         rise = max(0.0, rise)
 
-        rates = rates + rise * live
-        consumed = np.bincount(cols, weights=rise * entry_w, minlength=n_links)
+        rates[act_rows] = rates[act_rows] + rise * act_w
+        consumed = np.bincount(ent_cols, weights=rise * ent_w, minlength=n_links)
         residual = remaining - consumed
         remaining = np.where(residual > 0.0, residual, 0.0)
 
-        link_full = remaining <= EPS
-        full_entries = link_full[cols]
-        on_full = np.zeros(n, dtype=bool)
+        full_entries = (remaining <= EPS)[ent_cols]
         if full_entries.any():
-            on_full = np.bincount(rows[full_entries], minlength=n) > 0
-        at_cap = np.zeros(n, dtype=bool)
+            frozen[ent_rows[full_entries]] = True
         if act_capped.size:
-            at_cap[act_capped] = rates[act_capped] >= caps[act_capped] - EPS
-        newly = active & (on_full | at_cap)
-        if not newly.any():
+            frozen[act_capped[rates[act_capped] >= caps[act_capped] - EPS]] = True
+        rising = ~frozen[act_rows]
+        if rising.all():
             # Numerical corner: force-freeze the lowest active flow id,
             # matching the scalar kernel's ``min(active)``.
-            act_idx = np.nonzero(active)[0]
-            newly = np.zeros(n, dtype=bool)
-            newly[act_idx[np.argmin(incidence.fids[act_idx])]] = True
-        active &= ~newly
-        live[newly] = 0.0
+            frozen[act_rows[np.argmin(incidence.fids[act_rows])]] = True
+            rising = ~frozen[act_rows]
+        act_rows = act_rows[rising]
+        act_w = act_w[rising]
+        rising_entries = ~frozen[ent_rows]
+        ent_rows = ent_rows[rising_entries]
+        ent_cols = ent_cols[rising_entries]
+        ent_w = ent_w[rising_entries]
+        if act_capped.size:
+            act_capped = act_capped[~frozen[act_capped]]
 
-    return VectorAllocation(incidence, rates)
+    return rates
 
 
 def feasible_vector(

@@ -17,7 +17,8 @@ from repro.check import infeasible_links, unserved_flows
 from repro.core.flow import Flow
 from repro.simulator.allocation import DemandSet, FlowDemand, feasible, max_min_fair
 from repro.simulator.network import NetworkModel
-from repro.simulator.vector import HAVE_NUMPY
+import repro.simulator.vector as vector_mod
+from repro.simulator.vector import HAVE_NUMPY, DenseIncidence, max_min_fair_vector
 from repro.topology import ShortestPathRouter, big_switch, leaf_spine
 from repro.topology.graph import Link
 
@@ -348,3 +349,136 @@ def test_vector_allocation_passes_the_sanitizer_helpers():
         thresholds = {d.flow_id: 0.0 for d in demands}
         assert unserved_flows(demands, rates, remaining, thresholds) == []
         assert dict(rates.items()) == max_min_fair(list(demands))
+
+
+@needs_numpy
+def test_vector_kernel_matches_scalar_over_many_rounds():
+    # Deep water-filling: 1,200 flows over 150 links of spread-out
+    # capacities, so links saturate one by one and the kernel keeps
+    # dropping flows from its active set for dozens of rounds. Mixed
+    # weights, caps and one downed link on top.
+    rng = random.Random(2024)
+    links = [Link(f"u{i}", f"v{i}", 0.5 + rng.random() * 60.0) for i in range(150)]
+    links[17].capacity = 0.0  # downed at run time, as set_link_capacity does
+    demands = []
+    for fid in range(1200):
+        path = tuple(rng.sample(links, rng.randrange(1, 4)))
+        roll = rng.random()
+        demands.append(
+            FlowDemand(
+                flow_id=5000 + fid,
+                path=path,
+                weight=rng.choice((1.0, 1.0, 0.5, 2.0, 0.3 + rng.random() * 2.0)),
+                cap=None if roll < 0.8 else rng.random() * 3.0,
+            )
+        )
+    scalar = max_min_fair(list(demands))
+    vec = max_min_fair(DemandSet(demands, use_vector=True))
+    assert dict(vec.items()) == scalar
+    # Unit-weight flows frozen in one round share their rate bit for bit
+    # (the same sum of rises), so distinct rates bound the round count.
+    levels = {scalar[d.flow_id] for d in demands if d.weight == 1.0}
+    assert len(levels) >= 50
+    assert any(scalar[d.flow_id] == 0.0 for d in demands if links[17] in d.path)
+    _audit_max_min(demands, scalar, None)
+
+
+def _entries_by_link(incidence):
+    """link key -> [(flow id, entry index)] in entry order."""
+    by_link = {}
+    fids = incidence.fids.tolist()
+    for entry, (row, col) in enumerate(
+        zip(incidence.rows.tolist(), incidence.cols.tolist())
+    ):
+        by_link.setdefault(incidence.links[col].key, []).append((fids[row], entry))
+    return by_link
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_patched_incidence_matches_fresh_build(seed, monkeypatch):
+    outcomes = []
+    real_patch = DenseIncidence._patch
+
+    def spy(self, base, demands):
+        outcomes.append(real_patch(self, base, demands))
+        return outcomes[-1]
+
+    monkeypatch.setattr(DenseIncidence, "_patch", spy)
+    topology = leaf_spine(
+        n_leaves=3, hosts_per_leaf=3, host_bandwidth=2.0, n_spines=3
+    )
+    router = ShortestPathRouter(topology)
+    network = NetworkModel(topology, router, strict=False, vector="on")
+    hosts = [f"h{i}" for i in range(9)]
+    uplinks = [key for key in topology._links if key[1].startswith("spine")]
+    rng = random.Random(seed)
+    now = 0.0
+    for _ in range(60):
+        op = rng.random()
+        if op < 0.4 or network.active_count < 3:
+            for _ in range(rng.randrange(1, 6)):
+                src, dst = rng.sample(hosts, 2)
+                network.inject(Flow(src=src, dst=dst, size=0.2 + rng.random()), now)
+        elif op < 0.85:
+            network.set_rates(max_min_fair(network.demands()))
+            dt = network.earliest_finish_interval()
+            network.advance(dt, now)
+            now += dt
+        else:
+            key = rng.choice(uplinks)
+            router.block_links([key])
+            network.reroute_flows([key])
+            router.unblock_links([key])
+        demands = network.demands()
+        if not demands:
+            continue
+        patched = demands.incidence()
+        fresh = DenseIncidence(list(demands))
+        assert patched.fids.tolist() == fresh.fids.tolist()
+        assert _entries_by_link(patched) == _entries_by_link(fresh)
+        for name in ("rows", "cols", "weights", "caps", "capped_rows"):
+            assert getattr(patched, name).tolist() == getattr(fresh, name).tolist()
+        assert [link.key for link in patched.links] == [
+            link.key for link in fresh.links
+        ]
+        assert patched.row_of == fresh.row_of
+        rates = max_min_fair(demands)
+        assert rates.array.tobytes() == max_min_fair_vector(fresh).array.tobytes()
+        assert dict(rates.items()) == max_min_fair(list(demands))
+    # Both branches ran: patched steps, and reroutes that built fresh.
+    assert True in outcomes and False in outcomes
+
+
+@needs_numpy
+def test_capacity_change_between_decisions_forces_a_fresh_solve(monkeypatch):
+    fills = []
+    real_fill = vector_mod._water_fill
+
+    def spy(incidence, remaining):
+        fills.append(remaining.tolist())
+        return real_fill(incidence, remaining)
+
+    monkeypatch.setattr(vector_mod, "_water_fill", spy)
+    topology = big_switch(4, host_bandwidth=3.0)
+    network = NetworkModel(topology, ShortestPathRouter(topology), vector="on")
+    for src, dst in (("h0", "h1"), ("h0", "h2"), ("h3", "h1"), ("h2", "h1")):
+        network.inject(Flow(src=src, dst=dst, size=10.0), 0.0)
+    demands = network.demands()
+    first = max_min_fair(demands)
+    again = max_min_fair(network.demands())
+    assert len(fills) == 1  # same flows, same capacities: reused
+    assert again.array.tobytes() == first.array.tobytes()
+    assert again.array is not first.array
+
+    network.set_link_capacity(("h0", "core"), 1.0)
+    assert network.demands() is demands  # no structural change
+    shrunk = max_min_fair(network.demands())
+    assert len(fills) == 2
+    assert dict(shrunk.items()) == max_min_fair(list(demands))
+    assert dict(shrunk.items()) != dict(first.items())
+
+    network.set_link_capacity(("h0", "core"), 3.0)
+    restored = max_min_fair(network.demands())
+    assert len(fills) == 3
+    assert restored.array.tobytes() == first.array.tobytes()
