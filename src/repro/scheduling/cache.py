@@ -7,11 +7,12 @@ nature of DDLT jobs."
 DDLT traffic repeats: iteration k+1's flows have the same sizes, paths,
 group shapes, and relative deadlines as iteration k's. The
 :class:`MemoizingScheduler` wrapper exploits exactly that: it fingerprints
-the scheduling *situation* -- per active flow its endpoints, arrangement
-index, remaining bytes, deadline slack relative to now, and group weight,
-with group identities normalized to order-of-appearance so per-iteration
-id suffixes do not matter -- and replays the inner algorithm's allocation
-whenever the same situation recurs.
+the scheduling *situation* -- per active flow its pinned path (which
+names its endpoints), arrangement index, remaining bytes, deadline slack
+relative to now, and group weight, with group identities normalized to
+order-of-appearance so per-iteration id suffixes do not matter -- and
+replays the inner algorithm's allocation whenever the same situation
+recurs.
 
 A hit costs one dictionary lookup instead of a full MADD run; on steady
 multi-iteration jobs the hit rate approaches (iterations - 1)/iterations.
@@ -24,6 +25,7 @@ most the last ulp.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -68,6 +70,7 @@ class MemoizingScheduler(Scheduler):
              or view.network.capacity_epoch)
         ]
         flow_ids = []
+        link_keys = view.network.link_keys
         for state in states:
             flow = state.flow
             group_id = flow.group_id
@@ -82,8 +85,10 @@ class MemoizingScheduler(Scheduler):
             )
             entries.append(
                 (
-                    flow.src,
-                    flow.dst,
+                    # The path by link names (forks share them), which
+                    # also names the endpoints: with ECMP, equal
+                    # endpoints do not imply equal paths.
+                    link_keys(flow.flow_id),
                     group_tokens[group_id],
                     flow.index_in_group,
                     _quantize(state.remaining),
@@ -122,6 +127,18 @@ class MemoizingScheduler(Scheduler):
         inner = self.inner.fork() if hasattr(self.inner, "fork") else self.inner
         twin = MemoizingScheduler(inner, max_entries=self.max_entries)
         twin._cache = self._cache
+        return twin
+
+    def __deepcopy__(self, memo) -> "MemoizingScheduler":
+        # The twin oracle deep-copies engine.scheduler on every sampled
+        # invocation. Fingerprints and allocations are immutable tuples,
+        # so an independent cache only needs its own dict, not copies of
+        # every key (each carries every active flow's path).
+        twin = type(self)(copy.deepcopy(self.inner, memo), self.max_entries)
+        twin._cache = OrderedDict(self._cache)
+        twin.hits = self.hits
+        twin.misses = self.misses
+        memo[id(self)] = twin
         return twin
 
     # ------------------------------------------------------------------

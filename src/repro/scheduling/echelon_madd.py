@@ -39,24 +39,34 @@ orderings are provided for ablation E12/E23.
 **Work conservation.** A final backfill pass hands leftover capacity to
 flows in schedule order, so pacing never idles a link that has demand.
 
-**Kernels.** Each decision builds every stage's ``{column: bytes}`` load
-once (:func:`~repro.scheduling.coflow_madd.link_load`, over the link
-columns the network's residual accounting numbers) and evaluates it with
-:func:`~repro.scheduling.coflow_madd.remaining_gamma` twice: on the full
-capacities for ordering and on the residual for pacing. Pacing and the
-backfill (:func:`~repro.simulator.allocation.greedy_priority_fill`) then
-update one column-indexed residual list.
+**Kernels.** What a decision derives from a group's *shape* -- stage
+deadlines, the stage partition, flow ids and link-column tuples -- is
+kept across decisions as one immutable template per network bucket,
+keyed by the bucket's revision token
+(:meth:`~repro.simulator.network.NetworkModel.group_token`) and the
+EchelonFlow's ``(reference_time, weight, job_id)``; it is rebuilt only
+when that key changes and dropped once the bucket is gone. A decision
+then makes one pass per stage: it reads ``remaining`` by bucket
+position, builds the stage's ``{column: bytes}`` load
+(:func:`~repro.scheduling.coflow_madd.link_load`) and, for the orderings
+that rank by projected tardiness, evaluates
+:func:`~repro.scheduling.coflow_madd.remaining_gamma` on the full
+capacities. The pass yields one flat record per group, which every
+ordering sorts by its key. Pacing evaluates Gamma again on the residual;
+pacing and the backfill
+(:func:`~repro.simulator.allocation.greedy_priority_fill`) update one
+column-indexed residual list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.echelonflow import EchelonFlow
 from ..core.flow import FlowState
 from ..simulator.allocation import greedy_priority_fill
 from .base import Scheduler, SchedulerView, register_scheduler
-from .coflow_madd import Load, link_load, remaining_gamma
+from .coflow_madd import link_load, remaining_gamma
 
 #: Inter-EchelonFlow ordering policies (ablation E12).
 ORDERINGS = ("tardiness", "projected", "hybrid", "tardiness-asc", "sebf", "fifo")
@@ -64,83 +74,65 @@ ORDERINGS = ("tardiness", "projected", "hybrid", "tardiness-asc", "sebf", "fifo"
 #: Deadline anchors (ablation E14).
 ANCHORS = ("arrangement", "flow_start")
 
+_INF = float("inf")
 
-class _Stage:
-    """Flows of one EchelonFlow sharing one arrangement index.
+#: Orderings whose key reads each group's projected tardiness, i.e. Gamma
+#: of every stage on the full capacities.
+_PROJECTED = ("hybrid", "projected", "tardiness-asc")
 
-    Each decision reads a flow's state once, into the parallel lists
-    ``flow_ids``, ``remaining`` and ``columns`` (its path as link
-    columns), and builds the stage's load once; Gamma evaluates that
-    load against the full capacities and again on the residual.
+
+class _Template(NamedTuple):
+    """The decision-invariant shape of one EchelonFlow (or one ungrouped
+    flow): everything a decision derives from bucket membership, paths and
+    the EchelonFlow's ``(reference_time, weight, job_id)``.
+
+    ``stages`` holds one ``(deadline, flow_ids, positions, columns)``
+    tuple per stage, in deadline order: the stage's flow ids, their
+    positions in the network's bucket (where a decision reads
+    ``remaining``) and their paths as link columns, all fid-ordered.
     """
 
-    __slots__ = ("deadline", "flow_ids", "remaining", "columns", "load")
-
-    def __init__(
-        self,
-        deadline: float,
-        flow_ids: List[int],
-        remaining: List[float],
-        columns: List[Tuple[int, ...]],
-    ) -> None:
-        self.deadline = deadline
-        self.flow_ids = flow_ids
-        self.remaining = remaining
-        self.columns = columns
-        self.load = link_load(remaining, columns)
-
-    def gamma(self, capacities: Sequence[float]) -> float:
-        return remaining_gamma(self.load, capacities)
+    group_id: str
+    job_id: Optional[str]
+    weight: float
+    #: Whether an EchelonFlow was reported for this traffic (Fig. 7's
+    #: agent registration); ungrouped flows are best-effort.
+    registered: bool
+    earliest: float
+    stages: Tuple[Tuple[float, Tuple[int, ...], Tuple[int, ...], Tuple], ...]
 
 
-class _Group:
-    """One EchelonFlow's active stages, in deadline order."""
+def _lateness(template: _Template, now: float) -> float:
+    """Current tardiness ``now - d_earliest``: how far behind the formation
+    the group's most imminent stage already is. Positive lateness is
+    amplified by the EchelonFlow's weight (the Eq.-4 weighted-sum
+    variant); negative slack is left unweighted so early groups compare by
+    pure deadline (EDF)."""
+    lateness = now - template.earliest
+    if lateness > 0:
+        lateness *= template.weight
+    return lateness
 
-    def __init__(
-        self,
-        group_id: str,
-        stages: List[_Stage],
-        job_id: Optional[str] = None,
-        weight: float = 1.0,
-        registered: bool = True,
-    ) -> None:
-        self.group_id = group_id
-        self.stages = sorted(stages, key=lambda s: s.deadline)
-        self.job_id = job_id
-        self.weight = weight
-        #: Whether an EchelonFlow was reported for this traffic (Fig. 7's
-        #: agent registration); unregistered flows are best-effort.
-        self.registered = registered
 
-    def load(self) -> Load:
-        """The whole EchelonFlow's load: every stage, in deadline order."""
-        if len(self.stages) == 1:
-            return self.stages[0].load
-        return link_load(
-            [left for stage in self.stages for left in stage.remaining],
-            [path for stage in self.stages for path in stage.columns],
-        )
+def _weighted(weight: float, tau: float) -> float:
+    """Scale a tardiness key by the EchelonFlow's weight (Eq. 4's
+    weighted-sum variant) for *descending* (most-urgent-first) sorts:
+    a weight-w group that is t behind counts as w*t of objective, so
+    it sorts as if w times more urgent."""
+    if tau == _INF or tau == -_INF:
+        return tau
+    return weight * tau
 
-    def projected_tardiness(self, now: float, capacities: Sequence[float]) -> float:
-        """``max_g (now + Gamma_g - d_g)``: lateness if served alone now."""
-        worst = float("-inf")
-        for stage in self.stages:
-            gamma = stage.gamma(capacities)
-            if gamma == float("inf"):
-                return float("inf")
-            worst = max(worst, now + gamma - stage.deadline)
-        return worst
 
-    def current_tardiness(self, now: float) -> float:
-        """``now - d_earliest``: how far behind the formation the group's
-        most imminent stage already is. Positive lateness is amplified by
-        the EchelonFlow's weight (the Eq.-4 weighted-sum variant);
-        negative slack is left unweighted so early groups compare by pure
-        deadline (EDF)."""
-        lateness = now - min(stage.deadline for stage in self.stages)
-        if lateness > 0:
-            lateness *= self.weight
-        return lateness
+def _weighted_ascending(weight: float, tau: float) -> float:
+    """Weight adjustment for *ascending* (smallest-key-first) sorts --
+    Smith's rule: a heavier group must sort earlier, so positive
+    lateness divides by the weight and negative slack multiplies."""
+    if tau == _INF or tau == -_INF:
+        return tau
+    if tau >= 0:
+        return tau / weight
+    return tau * weight
 
 
 @register_scheduler
@@ -203,6 +195,10 @@ class EchelonMaddScheduler(Scheduler):
         # Adapted MADD paces stages to their deadlines (idling capacity
         # on purpose); work conservation comes from the backfill pass.
         self.work_conserving = backfill
+        #: group id -> (key, templates) of every bucket seen at the last
+        #: decision; the key is the bucket's revision token plus its
+        #: EchelonFlow's ``(reference_time, weight, job_id)``.
+        self._templates: Dict[Optional[str], Tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -226,100 +222,131 @@ class EchelonMaddScheduler(Scheduler):
             for state, ideal in zip(states, ideals)
         ]
 
-    def _build_groups(self, view: SchedulerView) -> List[_Group]:
-        groups: List[_Group] = []
-        network = view.network
-        columns_of = network.columns
-        # The network's incremental buckets, already sorted by group id
-        # with ungrouped flows last, each bucket fid-sorted -- so every
-        # stage below lists its flows in fid order too.
-        for group_id, states in view.groups():
-            flow_ids = network.group_flow_ids(group_id)
-            echelonflow = (
-                view.echelonflows.get(group_id) if group_id is not None else None
-            )
-            deadlines = self._deadlines(states, echelonflow)
-            if group_id is None:
-                # Every ungrouped flow is its own singleton group.
-                for flow_id, state, deadline in zip(flow_ids, states, deadlines):
-                    stage = _Stage(
-                        deadline, [flow_id], [state.remaining], [columns_of(flow_id)]
-                    )
-                    groups.append(
-                        _Group(
-                            f"_flow{flow_id}",
-                            [stage],
-                            job_id=state.flow.job_id,
-                            registered=False,
-                        )
-                    )
-                continue
-            if deadlines.count(deadlines[0]) == len(deadlines):
-                # One stage (a Coflow-like or not yet dated EchelonFlow).
-                stages = [
-                    _Stage(
-                        deadlines[0],
-                        list(flow_ids),
-                        [state.remaining for state in states],
-                        [columns_of(flow_id) for flow_id in flow_ids],
-                    )
-                ]
-            else:
-                members: Dict[float, Tuple[List[int], List[float], List]] = {}
-                for flow_id, state, deadline in zip(flow_ids, states, deadlines):
-                    stage_members = members.get(deadline)
-                    if stage_members is None:
-                        stage_members = members[deadline] = ([], [], [])
-                    stage_members[0].append(flow_id)
-                    stage_members[1].append(state.remaining)
-                    stage_members[2].append(columns_of(flow_id))
-                stages = [_Stage(d, *lists) for d, lists in members.items()]
-            job_id = echelonflow.job_id if echelonflow is not None else None
-            weight = echelonflow.weight if echelonflow is not None else 1.0
-            if job_id is None:
-                job_id = states[0].flow.job_id
-            groups.append(_Group(group_id, stages, job_id=job_id, weight=weight))
-        return groups
-
-    @staticmethod
-    def _weighted(group: _Group, tau: float) -> float:
-        """Scale a tardiness key by the EchelonFlow's weight (Eq. 4's
-        weighted-sum variant) for *descending* (most-urgent-first) sorts:
-        a weight-w group that is t behind counts as w*t of objective, so
-        it sorts as if w times more urgent."""
-        if tau == float("inf") or tau == float("-inf"):
-            return tau
-        return group.weight * tau
-
-    @staticmethod
-    def _weighted_ascending(group: _Group, tau: float) -> float:
-        """Weight adjustment for *ascending* (smallest-key-first) sorts --
-        Smith's rule: a heavier group must sort earlier, so positive
-        lateness divides by the weight and negative slack multiplies."""
-        if tau == float("inf") or tau == float("-inf"):
-            return tau
-        if tau >= 0:
-            return tau / group.weight
-        return tau * group.weight
-
-    def _order_groups(
+    def _build_templates(
         self,
-        groups: List[_Group],
-        now: float,
-        capacities: Sequence[float],
-    ) -> List[_Group]:
-        if self.ordering == "fifo":
-            return groups
-        if self.ordering == "tardiness":
+        group_id: Optional[str],
+        states: List[FlowState],
+        flow_ids: List[int],
+        echelonflow: Optional[EchelonFlow],
+        columns_of,
+    ) -> Tuple[_Template, ...]:
+        """One bucket's templates: a single template for an EchelonFlow
+        bucket, one singleton template per flow for the ungrouped
+        (``None``) bucket."""
+        deadlines = self._deadlines(states, echelonflow)
+        if group_id is None:
+            return tuple(
+                _Template(
+                    f"_flow{flow_id}",
+                    state.flow.job_id,
+                    1.0,
+                    False,
+                    deadline,
+                    ((deadline, (flow_id,), (position,), (columns_of(flow_id),)),),
+                )
+                for position, (flow_id, state, deadline) in enumerate(
+                    zip(flow_ids, states, deadlines)
+                )
+            )
+        members: Dict[float, List[int]] = {}
+        for position, deadline in enumerate(deadlines):
+            positions = members.get(deadline)
+            if positions is None:
+                positions = members[deadline] = []
+            positions.append(position)
+        stages = tuple(
+            (
+                deadline,
+                tuple([flow_ids[p] for p in positions]),
+                tuple(positions),
+                tuple([columns_of(flow_ids[p]) for p in positions]),
+            )
+            for deadline, positions in sorted(members.items())
+        )
+        job_id = echelonflow.job_id if echelonflow is not None else None
+        weight = echelonflow.weight if echelonflow is not None else 1.0
+        if job_id is None:
+            job_id = states[0].flow.job_id
+        return (_Template(group_id, job_id, weight, True, stages[0][0], stages),)
+
+    def _rank(self, view: SchedulerView, capacities: Sequence[float]) -> List[Tuple]:
+        """This decision's groups in service order, as
+        ``(template, value, stages)`` records.
+
+        Each stage is ``(deadline, flow_ids, remaining, columns, load)``:
+        one pass per stage reads ``remaining`` by bucket position, builds
+        the load and, for the orderings that read it, evaluates Gamma on
+        the full capacities. ``value`` is the group's projected tardiness
+        (``max_g (now + Gamma_g - d_g)``, ``inf`` once a stage is
+        blocked) or, under ``"sebf"``, the whole group's bottleneck.
+        Templates are rebuilt only for buckets whose key changed, and
+        forgotten once their bucket is gone.
+        """
+        now = view.now
+        ordering = self.ordering
+        projected = ordering in _PROJECTED
+        network = view.network
+        echelonflows = view.echelonflows
+        cached = self._templates
+        kept: Dict[Optional[str], Tuple] = {}
+        records: List[Tuple] = []
+        # The network's buckets come sorted by group id with ungrouped
+        # flows last, each bucket fid-sorted.
+        for group_id, states in view.groups():
+            echelonflow = (
+                echelonflows.get(group_id) if group_id is not None else None
+            )
+            token = network.group_token(group_id)
+            if echelonflow is None:
+                key = (token, None)
+            else:
+                ef = echelonflow
+                key = (token, (ef.reference_time, ef.weight, ef.job_id))
+            entry = cached.get(group_id)
+            if entry is None or entry[0] != key:
+                entry = (
+                    key,
+                    self._build_templates(
+                        group_id,
+                        states,
+                        network.group_flow_ids(group_id),
+                        echelonflow,
+                        network.columns,
+                    ),
+                )
+            kept[group_id] = entry
+            for template in entry[1]:
+                stages = []
+                value = -_INF
+                for deadline, flow_ids, positions, columns in template.stages:
+                    remaining = [states[p].remaining for p in positions]
+                    load = link_load(remaining, columns)
+                    stages.append((deadline, flow_ids, remaining, columns, load))
+                    if projected and value != _INF:
+                        gamma = remaining_gamma(load, capacities)
+                        if gamma == _INF:
+                            value = _INF
+                        else:
+                            value = max(value, now + gamma - deadline)
+                if ordering == "sebf":
+                    if len(stages) == 1:
+                        load = stages[0][4]
+                    else:
+                        load = link_load(
+                            [left for stage in stages for left in stage[2]],
+                            [path for stage in stages for path in stage[3]],
+                        )
+                    value = remaining_gamma(load, capacities)
+                records.append((template, value, stages))
+        self._templates = kept
+
+        if ordering == "tardiness":
             # Most currently-tardy first (weight-amplified lateness); ties
             # broken toward heavier groups, then by id for determinism.
-            keyed_current = [
-                (-g.current_tardiness(now), -g.weight, g.group_id, g)
-                for g in groups
-            ]
-            keyed_current.sort(key=lambda item: item[:3])
-            return [g for *_key, g in keyed_current]
-        if self.ordering == "hybrid":
+            records.sort(
+                key=lambda r: (-_lateness(r[0], now), -r[0].weight, r[0].group_id)
+            )
+        elif ordering == "hybrid":
             # Two-level: jobs ranked ascending by their *projected* lateness
             # (the Varys-SEBF analog across tenants: nearly-on-time jobs
             # first, which both minimizes the Eq.-4 sum and keeps small
@@ -327,57 +354,36 @@ class EchelonMaddScheduler(Scheduler):
             # measured as Jain 0.93 vs 0.52 in E23); within a job, the most
             # *currently* tardy EchelonFlow first (group-level EDF), which
             # preserves the formation that gates the job's computation.
-            tau = {
-                g.group_id: self._weighted_ascending(
-                    g, g.projected_tardiness(now, capacities)
-                )
-                for g in groups
-            }
             job_key: Dict[Optional[str], float] = {}
-            for g in groups:
-                value = tau[g.group_id]
-                if value == float("inf"):
+            for template, value, _stages in records:
+                value = _weighted_ascending(template.weight, value)
+                if value == _INF:
                     continue  # blocked groups don't define a job's urgency
-                current = job_key.get(g.job_id, float("inf"))
-                job_key[g.job_id] = min(current, value)
-            keyed = [
-                (
+                current = job_key.get(template.job_id, _INF)
+                job_key[template.job_id] = min(current, value)
+            records.sort(
+                key=lambda r: (
                     # Registered tenants (those whose frameworks reported
                     # EchelonFlows through the agent) outrank best-effort
-                    # unregistered traffic -- the coordinator protects what
-                    # it was asked to schedule.
-                    0 if g.registered else 1,
-                    job_key.get(g.job_id, float("inf")),
-                    g.job_id or "",
+                    # unregistered traffic -- the coordinator protects
+                    # what it was asked to schedule.
+                    0 if r[0].registered else 1,
+                    job_key.get(r[0].job_id, _INF),
+                    r[0].job_id or "",
                     # Most currently-behind first within the job.
-                    -g.current_tardiness(now),
-                    g.group_id,
-                    g,
+                    -_lateness(r[0], now),
+                    r[0].group_id,
                 )
-                for g in groups
-            ]
-            keyed.sort(key=lambda item: item[:5])
-            return [g for *_key, g in keyed]
-        if self.ordering == "sebf":
-            keyed = [
-                (remaining_gamma(g.load(), capacities), g.group_id, g)
-                for g in groups
-            ]
-        else:
-            keyed = [
-                (
-                    self._weighted(g, g.projected_tardiness(now, capacities)),
-                    g.group_id,
-                    g,
-                )
-                for g in groups
-            ]
-            if self.ordering == "projected":
-                # Most projected-behind first; +inf (blocked) groups sort
-                # last either way since negation keeps them extreme.
-                keyed = [(-value, gid, g) for value, gid, g in keyed]
-        keyed.sort(key=lambda item: (item[0], item[1]))
-        return [g for _value, _gid, g in keyed]
+            )
+        elif ordering == "sebf":
+            records.sort(key=lambda r: (r[1], r[0].group_id))
+        elif ordering == "projected":
+            # Most projected-behind first; +inf (blocked) groups sort
+            # last either way since negation keeps them extreme.
+            records.sort(key=lambda r: (-_weighted(r[0].weight, r[1]), r[0].group_id))
+        elif ordering == "tardiness-asc":
+            records.sort(key=lambda r: (_weighted(r[0].weight, r[1]), r[0].group_id))
+        return records
 
     # ------------------------------------------------------------------
 
@@ -387,31 +393,26 @@ class EchelonMaddScheduler(Scheduler):
         # superset of the links under the currently-active flows.
         capacities = view.network.column_capacities()
 
-        groups = self._build_groups(view)
-        ordered = self._order_groups(groups, now, capacities)
-
         rates: Dict[int, float] = {}
         residual = list(capacities)
         fill_ids: List[int] = []
         fill_columns: List[Tuple[int, ...]] = []
-        for group in ordered:
-            for stage in group.stages:
-                fill_ids.extend(stage.flow_ids)
-                fill_columns.extend(stage.columns)
-                gamma = remaining_gamma(stage.load, residual)
-                if gamma == float("inf"):
-                    for flow_id in stage.flow_ids:
+        for _template, _value, stages in self._rank(view, capacities):
+            for deadline, flow_ids, remaining, columns, load in stages:
+                fill_ids.extend(flow_ids)
+                fill_columns.extend(columns)
+                gamma = remaining_gamma(load, residual)
+                if gamma == _INF:
+                    for flow_id in flow_ids:
                         rates[flow_id] = 0.0
                     continue
                 # Pace the stage to land on max(deadline, earliest feasible).
-                target = max(stage.deadline, now + gamma)
+                target = max(deadline, now + gamma)
                 horizon = target - now
-                for flow_id, remaining, path in zip(
-                    stage.flow_ids, stage.remaining, stage.columns
-                ):
+                for flow_id, flow_left, path in zip(flow_ids, remaining, columns):
                     # Any positive horizon paces, however short: a stage
                     # of a few bytes must not starve at rate 0.
-                    rate = remaining / horizon if horizon > 0.0 else 0.0
+                    rate = flow_left / horizon if horizon > 0.0 else 0.0
                     rates[flow_id] = rate
                     for column in path:
                         left = residual[column] - rate

@@ -80,6 +80,12 @@ class CapacityViolation(Exception):
 #: process-global order does not perturb determinism.
 _capacity_token_counter = itertools.count(1)
 
+#: Process-global source of group-bucket revision tokens (see
+#: :meth:`NetworkModel.group_token`). Global for the same reason as the
+#: capacity tokens: a fork inherits its parent's tokens verbatim, and the
+#: next change to a bucket on either side draws a token neither has seen.
+_bucket_token_counter = itertools.count(1)
+
 
 class NetworkModel:
     """Tracks active flows and enforces link-capacity-respecting rates."""
@@ -165,6 +171,13 @@ class NetworkModel:
         #: flow id -> its path's link columns, filled on first request by
         #: :meth:`columns` (fair share never asks, so never pays for it).
         self._columns: Dict[int, Tuple[int, ...]] = {}
+        #: flow id -> its path as link keys, filled on first request by
+        #: :meth:`link_keys` (the memoizing scheduler's fingerprints).
+        self._link_keys: Dict[int, Tuple[Tuple[str, str], ...]] = {}
+        #: One shared tuple per distinct link-key path, for this model and
+        #: its forks: flows on one path hand out one object, so long-lived
+        #: fingerprints hold each path once.
+        self._link_key_paths: Dict[Tuple, Tuple[Tuple[str, str], ...]] = {}
         #: Min-heap of (finish key, flow id, token); stale entries carry
         #: an outdated token and are dropped when popped.
         self._finish_heap: List[Tuple[float, int, int]] = []
@@ -175,6 +188,8 @@ class NetworkModel:
         #: EchelonFlow buckets: group id -> (sorted fid list, state list).
         self._group_fids: Dict[Optional[str], List[int]] = {}
         self._group_states: Dict[Optional[str], List[FlowState]] = {}
+        #: group id -> the bucket's revision token (:meth:`group_token`).
+        self._group_tokens: Dict[Optional[str], int] = {}
 
     # ------------------------------------------------------------------
     # snapshot/fork support
@@ -265,6 +280,8 @@ class NetworkModel:
         link_map = {key: translate(*key) for key in self.accounting.links}
         twin.accounting = self.accounting.clone(link_map)
         twin._columns = dict(self._columns)
+        twin._link_keys = dict(self._link_keys)
+        twin._link_key_paths = self._link_key_paths
         twin._finish_heap = list(self._finish_heap)
         twin._heap_token = dict(self._heap_token)
         twin._group_fids = {
@@ -274,6 +291,7 @@ class NetworkModel:
             gid: [twin._active[fid] for fid in fids]
             for gid, fids in self._group_fids.items()
         }
+        twin._group_tokens = dict(self._group_tokens)
         return twin
 
     # ------------------------------------------------------------------
@@ -322,6 +340,7 @@ class NetworkModel:
         state.rate = 0.0
         self.accounting.unwatch(flow_id, self._paths[flow_id], old_rate)
         self._columns.pop(flow_id, None)
+        self._link_keys.pop(flow_id, None)
         del self._demands[flow_id]
         self._heap_token.pop(flow_id, None)
         self._demands_rev += 1
@@ -342,15 +361,19 @@ class NetworkModel:
         index = bisect_left(fids, flow_id)
         fids.insert(index, flow_id)
         states.insert(index, state)
+        self._group_tokens[group_id] = next(_bucket_token_counter)
 
     def _bucket_remove(self, group_id: Optional[str], flow_id: int) -> None:
         fids = self._group_fids[group_id]
         index = bisect_left(fids, flow_id)
         del fids[index]
         del self._group_states[group_id][index]
-        if not fids:
+        if fids:
+            self._group_tokens[group_id] = next(_bucket_token_counter)
+        else:
             del self._group_fids[group_id]
             del self._group_states[group_id]
+            del self._group_tokens[group_id]
 
     def group_buckets(self) -> List[Tuple[Optional[str], List[FlowState]]]:
         """Active flows bucketed by group id, each bucket fid-sorted.
@@ -372,6 +395,16 @@ class NetworkModel:
         :meth:`group_buckets` (do not mutate): lets a scheduler key its
         per-flow work without dereferencing every state's flow."""
         return self._group_fids[group_id]
+
+    def group_token(self, group_id: Optional[str]) -> int:
+        """One bucket's revision token: redrawn from a process-global
+        counter whenever a member joins, leaves or is rerouted, and
+        copied verbatim by :meth:`fork`. While it is unchanged, the
+        bucket's flow ids, state positions and link columns are too, so
+        a scheduler may key per-bucket derived data on it (the echelon
+        scheduler's stage templates). Members' ``remaining`` and
+        ``rate`` move without a new token."""
+        return self._group_tokens[group_id]
 
     # -- lazy drain -----------------------------------------------------
 
@@ -523,6 +556,17 @@ class NetworkModel:
             columns = self.accounting.columns_of(self._paths[flow_id])
             self._columns[flow_id] = columns
         return columns
+
+    def link_keys(self, flow_id: int) -> Tuple[Tuple[str, str], ...]:
+        """An active flow's path as link keys (name pairs), cached like
+        :meth:`columns`. Unlike columns, keys name the same links in
+        every fork, so a fork shares them."""
+        keys = self._link_keys.get(flow_id)
+        if keys is None:
+            keys = tuple([link.key for link in self._paths[flow_id]])
+            keys = self._link_key_paths.setdefault(keys, keys)
+            self._link_keys[flow_id] = keys
+        return keys
 
     def demand(self, flow_id: int, weight: float = 1.0) -> FlowDemand:
         if weight == 1.0:
@@ -936,8 +980,10 @@ class NetworkModel:
             state.rate = 0.0
             self._paths[flow_id] = new_path
             self._columns.pop(flow_id, None)
+            self._link_keys.pop(flow_id, None)
             self._demands[flow_id] = FlowDemand(flow_id=flow_id, path=new_path)
             self._demands_rev += 1
+            self._group_tokens[flow.group_id] = next(_bucket_token_counter)
             self.accounting.watch(flow_id, new_path)
             self._push_finish(flow_id, state)
             migrated.append(flow_id)

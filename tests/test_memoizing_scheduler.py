@@ -93,3 +93,36 @@ def test_different_situations_do_not_collide():
     engine2.run()
     # The second job's flows are twice the size: all fresh situations.
     assert scheduler.misses > misses_after_first
+
+
+def test_ecmp_paths_key_the_fingerprint():
+    """Equal endpoints on different ECMP paths are different situations.
+
+    On ``fat_tree(4)`` the flow id picks the path: with ids 1 and 2 the
+    two flows take disjoint paths and each gets the full 10.0; with ids 1
+    and 4 they share a link, so replaying the first allocation would
+    overload it.
+    """
+    from repro.core.flow import Flow
+    from repro.scheduling.base import SchedulerView
+    from repro.simulator.network import NetworkModel
+    from repro.topology import fat_tree
+    from repro.topology.routing import EcmpRouter
+
+    def decide(scheduler, flow_ids):
+        topology = fat_tree(4, 10.0)
+        network = NetworkModel(topology, EcmpRouter(topology))
+        hosts = topology.hosts
+        pairs = [(hosts[0], hosts[-1]), (hosts[1], hosts[-2])]
+        for flow_id, (src, dst) in zip(flow_ids, pairs):
+            network.inject(Flow(src, dst, 5.0, flow_id=flow_id), 0.0)
+        rates = scheduler.allocate(SchedulerView(now=0.0, network=network))
+        network.set_rates(rates)  # strict: raises on an overloaded link
+        return rates
+
+    memo = MemoizingScheduler(EchelonMaddScheduler())
+    assert decide(memo, (1, 2)) == {1: 10.0, 2: 10.0}
+    shared = decide(memo, (1, 4))
+    assert shared == decide(EchelonMaddScheduler(), (1, 4))
+    assert shared == {1: 10.0, 4: 0.0}
+    assert memo.hits == 0

@@ -27,10 +27,8 @@ def _view(flows, echelonflows, now=0.0, n_hosts=8, bw=10.0, starts=None):
 
 
 def _order(scheduler, view):
-    groups = scheduler._build_groups(view)
     full_caps = view.network.column_capacities()
-    ordered = scheduler._order_groups(groups, view.now, full_caps)
-    return [g.group_id for g in ordered]
+    return [template.group_id for template, _value, _stages in scheduler._rank(view, full_caps)]
 
 
 def _coflow(ef_id, src, dst, size, job_id=None, weight=1.0):
