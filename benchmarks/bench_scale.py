@@ -1,21 +1,16 @@
 #!/usr/bin/env python
-"""Scale sweep: reference vs. incremental vs. vectorized simulation core.
+"""Scale sweep: the scalar vs. the vectorized max-min kernel.
 
 Sweeps the number of simultaneously-active flows (default 100 -> 100k) on
-a multi-job big-switch scenario and times a full engine run per allocation
-mode: ``reference`` (full scans per event -- the pre-refactor cost model),
-``incremental`` (finish-time heap, residual link accounting, dirty-set
-rates, persistent scheduler view), and ``vector`` (the numpy waterfilling
-kernel over interned dense incidence plus bulk ``set_rates``). All modes
-produce the same simulation by construction; every point cross-checks
-bit-identity through a normalized per-flow trace digest before recording
-wall-clock seconds and the speedups.
-
-The reference core is O(n^2) per run, so the sweep caps it at
-``REFERENCE_CAP`` flows (a 10k reference run already takes minutes; 100k
-would take hours). Above the cap the sweep still runs -- and still
-cross-checks -- incremental vs. vector. ``--huge`` appends a best-effort
-1M-flow point (vector and incremental only; budget an hour).
+a multi-job big-switch scenario and times a full engine run per
+``allocation`` choice: ``scalar`` (the pure-Python waterfilling kernel)
+and ``vector`` (the numpy waterfilling kernel over interned dense
+incidence plus bulk ``set_rates``). Both run on the same hot path --
+finish-time heap, residual link accounting, dirty-set rates, persistent
+scheduler view -- and produce the same simulation by construction; every
+point cross-checks bit-identity through a normalized per-flow trace
+digest before recording wall-clock seconds and the speedup. ``--huge``
+appends a best-effort 1M-flow point (budget an hour).
 
 The scenario is shaped so the hot path dominates: all flows are injected
 up front (one arrival round), the engine runs in scheduling-interval mode
@@ -35,17 +30,16 @@ hosts, 2- to 6-link ECMP paths) instead of the 64-host big switch (2-link
 paths); the smoke guards always use the big switch.
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke         # CI guard
 
-``--smoke`` runs small points a few times and compares five *time
+``--smoke`` runs small points a few times and compares four *time
 ratios* -- each the median over ``SMOKE_REPEATS`` attempts -- against the
 checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
 
-* ``ratio``: incremental / reference (the core speedup),
-* ``instrumented_ratio``: instrumented-incremental / incremental at
+* ``instrumented_ratio``: instrumented-scalar / scalar at
   ``VECTOR_SMOKE_FLOWS`` flows (the full observability stack must stay
   cheap; at a few hundred flows the runs are too short to time),
-* ``vector_ratio``: vector / incremental at ``VECTOR_SMOKE_FLOWS`` flows
-  (the vector kernel must stay ahead of the scalar incremental path at a
-  size past the auto-select threshold),
+* ``vector_ratio``: vector / scalar at ``VECTOR_SMOKE_FLOWS`` flows
+  (the vector kernel must stay ahead of the scalar kernel at a size past
+  the auto-select threshold),
 * ``echelon_ratio``: echelon / fair at ``ECHELON_SMOKE_FLOWS`` flows, each
   on the kernel the engine's default mode picks at that size (the
   scalar scheduler kernels for echelon, the vector max-min kernel for
@@ -57,8 +51,8 @@ checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
   over DAG traffic must stay a fraction of the run it explains.
 
 Ratios are machine-independent to first order, so the step fails only
-when a mode itself regresses (> 2x its baseline ratio), not when CI
-hardware is slow -- and the failure message names the regressed mode.
+when a layer itself regresses (> 2x its baseline ratio), not when CI
+hardware is slow -- and the failure message names the regressed layer.
 Exit code 1 on regression or equivalence mismatch.
 
 See ``docs/performance.md`` for how to read the JSON report.
@@ -93,27 +87,20 @@ N_HOSTS = 64
 N_JOBS = 8
 GROUP_SIZE = 16
 #: Coordinator rerun tick (interval mode); sized so a run sees roughly
-#: ten ticks. Few enough that the per-event hot path still dominates the
-#: reference-vs-incremental comparison (the reference core's O(n^2)
-#: event scans dwarf its per-tick scheduler cost), but enough coordinator
-#: reruns that the allocation path -- what the vector kernel accelerates
-#: -- is a first-class term of the incremental-vs-vector comparison at
-#: every scale instead of being amortized away over a 2-simulated-second
-#: horizon.
+#: ten ticks: enough coordinator reruns that the allocation path -- what
+#: the vector kernel accelerates -- is a first-class term of the
+#: scalar-vs-vector comparison at every scale instead of being amortized
+#: away over a 2-simulated-second horizon.
 TICK = 0.2
-#: Largest point the O(n^2) reference core runs at in a sweep. Past it
-#: the sweep compares vector against incremental only.
-REFERENCE_CAP = 10_000
-#: The best-effort point ``--huge`` appends (vector + incremental only).
+#: The best-effort point ``--huge`` appends.
 HUGE_FLOWS = 1_000_000
-#: Regression threshold for --smoke: fail when a mode's median time
+#: Regression threshold for --smoke: fail when a guard's median time
 #: ratio exceeds the checked-in baseline ratio by more than this.
 SMOKE_FACTOR = 2.0
-SMOKE_FLOWS = 400
 #: The vector and instrumentation guards' size: past the auto-select
 #: threshold, so the vector guard measures the kernel the engine would
-#: actually pick, and long enough a run (about a second incremental)
-#: that the instrumentation ratio is not timer noise.
+#: actually pick, and long enough a run (about a second scalar) that
+#: the instrumentation ratio is not timer noise.
 VECTOR_SMOKE_FLOWS = 4000
 #: The echelon guard's size: enough flows per decision that the
 #: scheduler kernels, not the event loop, set the echelon run time, and
@@ -124,7 +111,7 @@ ECHELON_SMOKE_FLOWS = 4000
 REPORT_SMOKE_JOBS = 16
 SMOKE_REPEATS = 3
 
-MODES = ("reference", "incremental", "vector")
+MODES = ("scalar", "vector")
 FABRICS = ("big_switch", "fat_tree")
 #: Arity of the ``fat_tree`` fabric: k^3/4 = 128 hosts.
 FAT_TREE_K = 8
@@ -183,7 +170,7 @@ def build_engine(
         sanitizer=False,
     )
     rng = random.Random(seed)
-    # Ids from 0 in every engine: ECMP hashes the flow id, so modes
+    # Ids from 0 in every engine: ECMP hashes the flow id, so kernels
     # compared on fat_tree must draw the same ids to take the same paths.
     with use_flow_id_allocator(FlowIdAllocator()):
         for i in range(n_flows):
@@ -213,7 +200,7 @@ def _trace_digest(trace) -> str:
     Flow ids come from a process-global allocator, so two engines built
     for the same scenario hold different absolute ids; subtracting each
     trace's smallest id makes the digests comparable. Start/finish times
-    are hashed at full ``repr`` precision, so two modes share a digest
+    are hashed at full ``repr`` precision, so two runs share a digest
     only when every flow's schedule agrees bit for bit.
     """
     records = trace.flow_records
@@ -335,8 +322,8 @@ def _check_equivalent(n_flows: int, a: dict, b: dict) -> list:
             f"modes disagree on some flow's start/finish at full float "
             f"precision"
         )
-    # Bytes accumulate in different orders between the modes (sync order
-    # vs. scan order): equal only up to float association.
+    # Bytes accumulate in different orders between the kernels (bulk vs.
+    # per-flow rate application): equal only up to float association.
     scale = max(1.0, abs(a["bytes_delivered"]))
     if abs(a["bytes_delivered"] - b["bytes_delivered"]) > 1e-6 * scale:
         problems.append(
@@ -350,14 +337,7 @@ def sweep(sizes, seed: int, scheduler: str, fabric: str = "big_switch") -> dict:
     points = []
     for n_flows in sizes:
         runs = {}
-        modes = [m for m in MODES if m != "reference" or n_flows <= REFERENCE_CAP]
-        if "reference" not in modes:
-            print(
-                f"[bench_scale] n={n_flows}: skipping reference "
-                f"(O(n^2) past REFERENCE_CAP={REFERENCE_CAP})",
-                flush=True,
-            )
-        for mode in modes:
+        for mode in MODES:
             print(f"[bench_scale] n={n_flows}: {mode} ...", flush=True)
             runs[mode] = run_once(
                 n_flows, mode, seed=seed, scheduler=scheduler, fabric=fabric
@@ -367,40 +347,27 @@ def sweep(sizes, seed: int, scheduler: str, fabric: str = "big_switch") -> dict:
                 f"{runs[mode]['seconds']:.3f}s",
                 flush=True,
             )
-        problems = _check_equivalent(n_flows, runs["incremental"], runs["vector"])
-        if "reference" in runs:
-            problems += _check_equivalent(
-                n_flows, runs["reference"], runs["incremental"]
-            )
+        problems = _check_equivalent(n_flows, runs["scalar"], runs["vector"])
         if problems:
             raise SystemExit(
                 "mode equivalence violated at n=%d:\n  %s"
                 % (n_flows, "\n  ".join(problems))
             )
-        inc_s = runs["incremental"]["seconds"]
+        scalar_s = runs["scalar"]["seconds"]
         vec_s = runs["vector"]["seconds"]
         point = {
             "n_flows": n_flows,
-            "incremental_seconds": round(inc_s, 6),
+            "scalar_seconds": round(scalar_s, 6),
             "vector_seconds": round(vec_s, 6),
-            "vector_speedup": round(inc_s / vec_s, 2) if vec_s > 0 else None,
-            "completed_flows": runs["incremental"]["completed"],
-            "sim_end_time": runs["incremental"]["end_time"],
-            "scheduler_invocations": runs["incremental"]["scheduler_invocations"],
-            "trace_digest": runs["incremental"]["trace_digest"],
+            "vector_speedup": round(scalar_s / vec_s, 2) if vec_s > 0 else None,
+            "completed_flows": runs["scalar"]["completed"],
+            "sim_end_time": runs["scalar"]["end_time"],
+            "scheduler_invocations": runs["scalar"]["scheduler_invocations"],
+            "trace_digest": runs["scalar"]["trace_digest"],
         }
-        if "reference" in runs:
-            ref_s = runs["reference"]["seconds"]
-            point["reference_seconds"] = round(ref_s, 6)
-            point["speedup"] = round(ref_s / inc_s, 2) if inc_s > 0 else None
         print(
             f"[bench_scale] n={n_flows}: vector speedup "
-            f"{point['vector_speedup']}x over incremental"
-            + (
-                f", incremental {point['speedup']}x over reference"
-                if "speedup" in point
-                else ""
-            ),
+            f"{point['vector_speedup']}x over scalar",
             flush=True,
         )
         points.append(point)
@@ -418,7 +385,6 @@ def sweep(sizes, seed: int, scheduler: str, fabric: str = "big_switch") -> dict:
             "jobs": N_JOBS,
             "group_size": GROUP_SIZE,
             "seed": seed,
-            "reference_cap": REFERENCE_CAP,
         },
         "sweep": points,
         "top": {
@@ -452,7 +418,7 @@ def _guard(name: str, median_ratio: float, baseline_ratio) -> bool:
 
 
 def smoke(seed: int, scheduler: str) -> int:
-    """CI guard: fail -- naming the mode -- when any core regresses."""
+    """CI guard: fail -- naming the layer -- when a guarded ratio regresses."""
     try:
         baseline = json.loads(BASELINE_PATH.read_text())
     except FileNotFoundError:
@@ -461,7 +427,7 @@ def smoke(seed: int, scheduler: str) -> int:
     # Benchmark hygiene: no sanitizer may ride along with the timed
     # engines, REPRO_CHECK or not -- otherwise the ratios measure the
     # checker, not the core.
-    probe = build_engine(8, "incremental", seed=seed, scheduler=scheduler)
+    probe = build_engine(8, "scalar", seed=seed, scheduler=scheduler)
     if probe.check is not None:
         print(
             "[bench_scale] smoke FAILED: sanitizer attached to a benchmark "
@@ -469,20 +435,17 @@ def smoke(seed: int, scheduler: str) -> int:
             file=sys.stderr,
         )
         return 1
-    ratios = []
     instr_ratios = []
     vector_ratios = []
     echelon_ratios = []
     report_ratios = []
     for attempt in range(SMOKE_REPEATS):
-        ref = run_once(SMOKE_FLOWS, "reference", seed=seed, scheduler=scheduler)
-        inc = run_once(SMOKE_FLOWS, "incremental", seed=seed, scheduler=scheduler)
         vec_base = run_once(
-            VECTOR_SMOKE_FLOWS, "incremental", seed=seed, scheduler=scheduler
+            VECTOR_SMOKE_FLOWS, "scalar", seed=seed, scheduler=scheduler
         )
         obs = run_once(
             VECTOR_SMOKE_FLOWS,
-            "incremental",
+            "scalar",
             seed=seed,
             scheduler=scheduler,
             instrumented=True,
@@ -490,13 +453,12 @@ def smoke(seed: int, scheduler: str) -> int:
         vec = run_once(VECTOR_SMOKE_FLOWS, "vector", seed=seed, scheduler=scheduler)
         fair = run_once(ECHELON_SMOKE_FLOWS, "vector", seed=seed, scheduler="fair")
         echelon = run_once(
-            ECHELON_SMOKE_FLOWS, "incremental", seed=seed, scheduler="echelon"
+            ECHELON_SMOKE_FLOWS, "scalar", seed=seed, scheduler="echelon"
         )
         reported = report_once(REPORT_SMOKE_JOBS, seed=seed)
-        problems = _check_equivalent(SMOKE_FLOWS, ref, inc)
         # Instrumentation must observe, never perturb: the instrumented
-        # run is the same simulation as the bare incremental one.
-        problems += [
+        # run is the same simulation as the bare scalar one.
+        problems = [
             "instrumented run: " + p
             for p in _check_equivalent(VECTOR_SMOKE_FLOWS, vec_base, obs)
         ]
@@ -518,17 +480,14 @@ def smoke(seed: int, scheduler: str) -> int:
                 file=sys.stderr,
             )
             return 1
-        ratios.append(inc["seconds"] / ref["seconds"])
         instr_ratios.append(obs["seconds"] / vec_base["seconds"])
         vector_ratios.append(vec["seconds"] / vec_base["seconds"])
         echelon_ratios.append(echelon["seconds"] / fair["seconds"])
         report_ratios.append(reported["report_seconds"] / reported["seconds"])
         print(
             f"[bench_scale] smoke attempt {attempt + 1}/{SMOKE_REPEATS}: "
-            f"incremental/reference {ratios[-1]:.3f} "
-            f"({inc['seconds']:.3f}s / {ref['seconds']:.3f}s), "
             f"instrumented overhead {instr_ratios[-1]:.3f}x "
-            f"({obs['seconds']:.3f}s @ n={VECTOR_SMOKE_FLOWS}), vector/incremental "
+            f"({obs['seconds']:.3f}s @ n={VECTOR_SMOKE_FLOWS}), vector/scalar "
             f"{vector_ratios[-1]:.3f} ({vec['seconds']:.3f}s / "
             f"{vec_base['seconds']:.3f}s @ n={VECTOR_SMOKE_FLOWS}), "
             f"echelon/fair {echelon_ratios[-1]:.3f} ({echelon['seconds']:.3f}s / "
@@ -539,17 +498,12 @@ def smoke(seed: int, scheduler: str) -> int:
             flush=True,
         )
     ok = _guard(
-        "incremental core (incremental/reference)",
-        statistics.median(ratios),
-        baseline.get("ratio"),
-    )
-    ok &= _guard(
-        "instrumentation (instrumented/incremental)",
+        "instrumentation (instrumented/scalar)",
         statistics.median(instr_ratios),
         baseline.get("instrumented_ratio"),
     )
     ok &= _guard(
-        "vector kernel (vector/incremental)",
+        "vector kernel (vector/scalar)",
         statistics.median(vector_ratios),
         baseline.get("vector_ratio"),
     )

@@ -29,7 +29,14 @@ from .config import (
     CheckConfig,
     parse_spec,
 )
-from .invariants import INVARIANTS, infeasible_links, invariant_names, unserved_flows
+from .invariants import (
+    INVARIANTS,
+    infeasible_links,
+    invariant_names,
+    scan_earliest_finish,
+    scan_finishing,
+    unserved_flows,
+)
 from .sanitizer import Sanitizer
 from .twin import TwinOracle
 from .violations import CheckViolation, Violation, ViolationLog
@@ -55,6 +62,8 @@ __all__ = [
     "make_sanitizer",
     "parse_spec",
     "reset_global_stats",
+    "scan_earliest_finish",
+    "scan_finishing",
     "unserved_flows",
     "write_global_report",
 ]

@@ -10,13 +10,9 @@ A spec string selects a mode and optional knobs::
 
 Recognized options: ``twin`` (sampling fraction of scheduler invocations
 shadow-executed by the differential twin oracle), ``twin_tol`` (relative
-rate tolerance for twin agreement; 0 demands bit-equality), ``twin_kernel``
-(``scalar`` or ``vector``: which waterfilling kernel the twin's reference
-reconstruction runs -- keeping it ``scalar`` while the primary runs the
-vector kernel turns every sampled invocation into a scalar-vs-vector
-differential), ``seed`` (the deterministic sampling stream), ``max``
-(collected-violation cap), and ``invariants`` (``+``-separated allow-list
-of invariant names).
+rate tolerance for twin agreement; 0 demands bit-equality), ``seed``
+(the deterministic sampling stream), ``max`` (collected-violation cap),
+and ``invariants`` (``+``-separated allow-list of invariant names).
 """
 
 from __future__ import annotations
@@ -66,11 +62,6 @@ class CheckConfig:
     #: Relative (per link capacity) headroom a work-conserving scheduler
     #: is allowed to leave on every link of an unfinished flow's path.
     work_conservation_tolerance: float = 1e-6
-    #: Which waterfilling kernel the twin's reference reconstruction
-    #: runs: ``scalar`` (the default -- so a vector-mode primary gets an
-    #: automatic scalar-vs-vector differential on every sampled
-    #: invocation) or ``vector`` (to cross-check the other direction).
-    twin_kernel: str = "scalar"
     #: Seed of the deterministic twin-sampling stream (per engine).
     seed: int = 0
     #: Collected-violation retention cap (counts stay exact past it).
@@ -88,11 +79,6 @@ class CheckConfig:
         if self.twin_tolerance < 0:
             raise ValueError(
                 f"twin_tolerance must be >= 0, got {self.twin_tolerance}"
-            )
-        if self.twin_kernel not in ("scalar", "vector"):
-            raise ValueError(
-                f"twin_kernel must be 'scalar' or 'vector', got "
-                f"{self.twin_kernel!r}"
             )
         if self.max_violations < 1:
             raise ValueError(
@@ -144,8 +130,6 @@ def parse_spec(spec: Union[str, CheckConfig, None]) -> Optional[CheckConfig]:
                 overrides["twin_sample"] = float(value)
             elif key in ("twin_tol", "twin_tolerance"):
                 overrides["twin_tolerance"] = float(value)
-            elif key == "twin_kernel":
-                overrides["twin_kernel"] = value.lower()
             elif key == "seed":
                 overrides["seed"] = int(value)
             elif key in ("max", "max_violations"):
@@ -155,7 +139,7 @@ def parse_spec(spec: Union[str, CheckConfig, None]) -> Optional[CheckConfig]:
                     name for name in value.split("+") if name
                 )
             else:
-                known = "twin, twin_tol, twin_kernel, seed, max, invariants"
+                known = "twin, twin_tol, seed, max, invariants"
                 raise ValueError(
                     f"unknown check option {key!r}; recognized: {known}"
                 )

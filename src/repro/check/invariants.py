@@ -22,13 +22,19 @@ INVARIANTS: Dict[str, Tuple[str, str]] = {
     ),
     "capacity": (
         "per-link allocated load stays within capacity (recomputed from "
-        "scratch, independent of the incremental accounting)",
+        "scratch, independent of the residual accounting)",
         "fluid-flow model / Property 4: adapted MADD must fit link capacities",
     ),
     "accounting": (
         "the residual LinkAccounting (loads, memberships, nonzero counts) "
         "matches a from-scratch recomputation over active flows",
-        "incremental-core refactor invariant (docs/performance.md)",
+        "hot-path residual-accounting invariant (docs/performance.md)",
+    ),
+    "finish_index": (
+        "the finish heap's earliest_finish_interval equals a plain scan "
+        "of every active flow's time_to_finish",
+        "fluid-flow model: the next departure is the first flow to drain "
+        "(docs/performance.md)",
     ),
     "work_conservation": (
         "a scheduler that declares itself work-conserving leaves no flow "
@@ -49,7 +55,8 @@ INVARIANTS: Dict[str, Tuple[str, str]] = {
     "arrangement": (
         "ideal finish times per EchelonFlow are non-decreasing in the "
         "arrangement index, and cached per-flow deadlines agree with the "
-        "group's arrangement-derived values",
+        "group's arrangement-derived values; no active member of a group "
+        "whose reference is pinned is left without a date",
         "Def. 3.1 / Eqs. 5-7: g(D, r) offsets are monotone",
     ),
     "group_tardiness": (
@@ -59,16 +66,41 @@ INVARIANTS: Dict[str, Tuple[str, str]] = {
         "Defs. 3.2/3.3, Eqs. 1-2",
     ),
     "twin": (
-        "the incremental scheduler invocation agrees rate-for-rate with a "
-        "shadow execution against a freshly reconstructed full-scan "
-        "reference network",
-        "incremental-core bit-equivalence guarantee (docs/performance.md)",
+        "the scheduler invocation agrees rate-for-rate with a shadow "
+        "execution against a freshly reconstructed network running the "
+        "other max-min kernel",
+        "hot-path and kernel bit-equivalence guarantee "
+        "(docs/performance.md)",
     ),
 }
 
 
 def invariant_names() -> List[str]:
     return sorted(INVARIANTS)
+
+
+def scan_earliest_finish(network) -> float:
+    """:meth:`~repro.simulator.network.NetworkModel.earliest_finish_interval`
+    by brute force: the smallest per-flow ``time_to_finish`` over every
+    active flow, read flow by flow and never through the finish heap."""
+    best = float("inf")
+    for state in network.iter_active():
+        interval = network.time_to_finish(state.flow.flow_id)
+        if interval < best:
+            best = interval
+    return best
+
+
+def scan_finishing(network, t: float) -> List[int]:
+    """Ids (ascending) of the active flows that drain to their finish
+    threshold by time ``t`` -- what ``advance`` up to ``t`` must retire,
+    found by a scan over ``projected_remaining`` instead of the heap."""
+    return [
+        state.flow.flow_id
+        for state in network.iter_active()
+        if network.projected_remaining(state.flow.flow_id, t)
+        <= state.flow.finish_epsilon
+    ]
 
 
 def infeasible_links(
@@ -82,7 +114,7 @@ def infeasible_links(
     instead of a bool it returns one record per oversubscribed link with
     the load, the capacity, and the crossing flows -- what a violation
     report needs. Recomputes usage from scratch, deliberately not reading
-    the incremental accounting it is used to audit.
+    the residual accounting it is used to audit.
     """
     usage: Dict[Tuple[str, str], float] = {}
     capacities: Dict[Tuple[str, str], float] = {}

@@ -19,7 +19,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from .config import CheckConfig
-from .invariants import infeasible_links, unserved_flows
+from .invariants import infeasible_links, scan_earliest_finish, unserved_flows
 from .twin import TwinOracle
 from .violations import CheckViolation, Violation, ViolationLog
 
@@ -285,15 +285,18 @@ class Sanitizer:
         return False
 
     def on_fault(self, engine, now: float) -> None:
-        """Audit the incremental state right after a fault mutated it.
+        """Audit the maintained state right after a fault mutated it.
 
         Capacity mutation and flow migration rewrite the residual
-        accounting and rescale in-flight rates outside the normal
-        ``set_rates`` path; this re-runs the accounting audit and the
-        from-scratch capacity recompute at the mutation boundary, before
-        the fault-caused reschedule gets a chance to paper over drift.
+        accounting, rescale in-flight rates and re-key the finish heap
+        outside the normal ``set_rates`` path; this re-runs the accounting
+        audit, the finish-heap scan and the from-scratch capacity
+        recompute at the mutation boundary, before the fault-caused
+        reschedule gets a chance to paper over drift.
         """
         network = engine.network
+        if self._count("finish_index"):
+            self._check_finish_index(network, now)
         if self._count("accounting"):
             for problem in network.verify_accounting(
                 self.config.accounting_tolerance
@@ -369,6 +372,10 @@ class Sanitizer:
                         details=problem,
                     )
                 )
+        if self._count("finish_index"):
+            self._check_finish_index(network, view.now)
+        if self._count("arrangement"):
+            self._check_dated(network, view.now)
         if self._count("work_conservation") and getattr(
             self.engine.scheduler, "work_conserving", False
         ):
@@ -399,6 +406,58 @@ class Sanitizer:
                         details=problem,
                     )
                 )
+
+    def _check_finish_index(self, network, now: float) -> None:
+        """The finish heap's next departure against a plain scan."""
+        indexed = network.earliest_finish_interval()
+        scanned = scan_earliest_finish(network)
+        if indexed == scanned:
+            return
+        nearest = min(
+            (state.flow.flow_id for state in network.iter_active()),
+            key=network.time_to_finish,
+        )
+        self._violate(
+            Violation(
+                invariant="finish_index",
+                time=now,
+                message=(
+                    f"finish heap puts the next departure {indexed!r} s "
+                    f"ahead, a scan of the active flows {scanned!r} s "
+                    f"(flow {nearest})"
+                ),
+                details={"indexed": indexed, "scanned": scanned, "flow": nearest},
+            )
+        )
+
+    def _check_dated(self, network, now: float) -> None:
+        """Every active member of a pinned EchelonFlow carries its date."""
+        echelonflows = self.engine.echelonflows
+        undated = []
+        for state in network.iter_active():
+            group_id = state.flow.group_id
+            if group_id is None or state.ideal_finish_time is not None:
+                continue
+            group = echelonflows.get(group_id)
+            if group is not None and group.reference_time is not None:
+                undated.append((state.flow.flow_id, group_id))
+        if undated:
+            flow_id, group_id = undated[0]
+            self._violate(
+                Violation(
+                    invariant="arrangement",
+                    time=now,
+                    message=(
+                        f"flow {flow_id} of pinned EchelonFlow {group_id!r} "
+                        f"has no ideal finish time ({len(undated)} such flows)"
+                    ),
+                    details={
+                        "flows": [fid for fid, _ in undated[:10]],
+                        "groups": sorted({gid for _, gid in undated}),
+                        "count": len(undated),
+                    },
+                )
+            )
 
     def on_run_end(self, trace) -> None:
         engine = self.engine

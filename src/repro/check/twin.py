@@ -1,34 +1,31 @@
-"""The differential twin oracle: shadow-execute the reference allocator.
+"""The differential twin oracle: shadow-execute the scheduler on a rebuilt network.
 
-PR 2's incremental core keeps a retained full-scan reference mode
-(``incremental=False``) proven bit-identical by offline equivalence tests.
-The twin oracle turns that proof into an always-on detector: on a sampled
-fraction of scheduler invocations it reconstructs the *reference* network
-from the primary's materialized state, replays the (deep-copied) scheduler
-against it, and demands rate-for-rate agreement with the allocation the
-incremental path just produced.
+On a sampled fraction of scheduler invocations the oracle reconstructs a
+fresh network from the primary's materialized state, replays the
+(deep-copied) scheduler against it, and demands rate-for-rate agreement
+with the allocation the primary just produced.
 
 Reconstruction, not mirroring: the twin network is built fresh per sampled
 invocation from ``active_states()`` -- flows re-injected at their original
-start times through the shared deterministic router (identical paths),
-with ``remaining`` and ``ideal_finish_time`` copied from the primary's
-synced states. That makes the oracle stateless between samples (nothing to
-drift) and means a divergence can only come from the incremental machinery
-feeding the scheduler stale state: exactly the bug class it hunts.
+start times on the primary's pinned paths, with ``remaining`` and
+``ideal_finish_time`` copied from the primary's synced states, and the
+primary's capacity epoch and lineage carried over so capacity-keyed caches
+(the memoizing scheduler's fingerprints) see the same history. That makes
+the oracle stateless between samples (nothing to drift) and means a
+divergence can only come from the primary's maintained state -- the finish
+heap, group buckets, cached demands, persistent view -- feeding the
+scheduler something stale: exactly the bug class it hunts.
 
 The scheduler is deep-copied so stateful wrappers (the memoizing cache,
 profiling counters, coordinator logs) are not perturbed by the shadow
 invocation; deterministic schedulers replay identically from equal state.
 
-The twin's reconstruction also doubles as a *kernel* differential: by
-default it runs the scalar waterfilling kernel (``twin_kernel="scalar"``)
-regardless of the primary's allocation mode, so an engine running the
-vectorized kernel (``allocation="vector"`` or auto-selected at scale)
-gets a scalar-vs-vector cross-check on every sampled invocation -- the
-two implementations must agree bit for bit under ``twin_tol=0``. Setting
-``twin_kernel=vector`` flips the direction (vector twin against a scalar
-primary); when numpy is unavailable the twin silently falls back to the
-scalar kernel, which is always present.
+The reconstruction also runs the *other* max-min kernel: a primary whose
+demand set dispatched to the vector kernel for this invocation gets a
+scalar twin, and a scalar primary gets a vector twin when numpy is present
+(a scalar one otherwise). Every sampled invocation is therefore also a
+scalar-vs-vector differential; under ``twin_tol=0`` the two kernels must
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .violations import Violation
 
 
 class TwinOracle:
-    """Compares incremental allocations against a reconstructed reference."""
+    """Compares the primary's allocations against a reconstructed replay."""
 
     def __init__(self, config: CheckConfig) -> None:
         self.config = config
@@ -72,10 +69,10 @@ class TwinOracle:
                 )
             ]
         self.comparisons += 1
-        reference = self._reconstruct(engine.network, view.now)
+        twin = self._reconstruct(engine.network, view.now)
         twin_view = SchedulerView(
             now=view.now,
-            network=reference,
+            network=twin,
             echelonflows=engine.echelonflows,
             trigger_cause=view.trigger_cause,
         )
@@ -85,7 +82,7 @@ class TwinOracle:
     # ------------------------------------------------------------------
 
     def _reconstruct(self, network: NetworkModel, now: float) -> NetworkModel:
-        """Build a reference-mode network holding the primary's flows.
+        """Build a fresh network holding the primary's flows.
 
         Each flow is re-injected with the primary's *pinned* path (not a
         freshly-routed one): under fault injection, routes may have been
@@ -94,28 +91,27 @@ class TwinOracle:
         replayed on the path it actually occupies. ``remaining`` and the
         cached ideal finish time are copied from the primary's synced
         states, so the twin sees the same bytes without replaying the
-        drain history.
+        drain history. The kernel is the one the primary did not use.
         """
         network.sync_active()
-        twin_vector = "off"
-        if self.config.twin_kernel == "vector" and HAVE_NUMPY:
-            twin_vector = "on"
-        reference = NetworkModel(
-            network.topology,
-            network.router,
-            strict=False,
-            incremental=False,
-            vector=twin_vector,
+        if network.demands().use_vector or not HAVE_NUMPY:
+            allocation = "scalar"
+        else:
+            allocation = "vector"
+        twin = NetworkModel(
+            network.topology, network.router, allocation=allocation
         )
+        twin.capacity_epoch = network.capacity_epoch
+        twin.capacity_lineage = network.capacity_lineage
         for state in network.active_states():
             flow_id = state.flow.flow_id
-            twin_state = reference.inject(
+            twin_state = twin.inject(
                 state.flow, state.start_time, path=network.path(flow_id)
             )
             twin_state.remaining = state.remaining
             twin_state.ideal_finish_time = state.ideal_finish_time
-        reference.sync_active(now)
-        return reference
+        twin.sync_active(now)
+        return twin
 
     def _diff(
         self,
@@ -146,13 +142,13 @@ class TwinOracle:
                     invariant="twin",
                     time=now,
                     message=(
-                        f"incremental allocation diverges from the "
-                        f"reference replay for flow {flow_id}"
+                        f"primary allocation diverges from the twin "
+                        f"replay for flow {flow_id}"
                     ),
                     details={
                         "flow": flow_id,
-                        "incremental_rate": got,
-                        "reference_rate": want,
+                        "primary_rate": got,
+                        "twin_rate": want,
                         "relative_error": abs(got - want) / scale,
                     },
                 )

@@ -65,11 +65,9 @@ class Engine:
         device_slots=1,
         scheduling_interval: Optional[float] = None,
         instrumentation=None,
-        incremental: bool = True,
         sanitizer=None,
         faults=None,
-        allocation: Optional[str] = None,
-        batch_dispatch: bool = True,
+        allocation: str = "auto",
     ) -> None:
         """``device_slots`` sets per-device MIG slot counts: an int applies
         to every device, a mapping overrides per device name.
@@ -89,13 +87,6 @@ class Engine:
         link-utilization sampling. ``None`` (default) records nothing
         and costs one attribute check per hook site.
 
-        ``incremental``: ``True`` (default) runs the O(changed flows)
-        hot path -- finish-time heap, residual link accounting, persistent
-        scheduler view, per-group undated index. ``False`` keeps the
-        exact same semantics but finds work by full scans (the
-        pre-refactor cost model); it exists for equivalence tests and the
-        ``bench_scale`` speedup report.
-
         ``sanitizer``: a :class:`repro.check.Sanitizer` (or a
         ``REPRO_CHECK``-style spec string) checking runtime invariants at
         event boundaries. ``None`` (default) consults the process-wide
@@ -105,25 +96,18 @@ class Engine:
         regardless of the process default. Uses the same zero-overhead
         hook pattern as ``instrumentation``.
 
-        ``allocation``: selects the engine's allocation mode explicitly,
-        overriding ``incremental``. ``"reference"`` is the full-scan
-        scalar core; ``"incremental"`` the dirty-set scalar core;
-        ``"vector"`` the dirty-set core with the numpy dense max-min
-        kernel and bulk rate application (raises if numpy is missing).
-        ``None``/``"auto"`` (default) keeps ``incremental``'s choice and,
-        in incremental mode, auto-selects the vector kernel above
+        ``allocation``: the max-min kernel. ``"scalar"`` keeps the
+        pure-Python kernel; ``"vector"`` runs the numpy dense kernel with
+        bulk rate application (raises if numpy is missing); ``"auto"``
+        (default) switches to the vector kernel above
         :data:`~repro.simulator.vector.VECTOR_AUTO_THRESHOLD` active
-        flows. All modes are bit-identical -- same traces, same rates at
+        flows. All three are bit-identical -- same traces, same rates at
         every invocation -- enforced by the twin oracle and the
-        equivalence suites; only the cost model differs.
+        equivalence suites; only the cost differs.
 
-        ``batch_dispatch``: ``True`` (default) absorbs every event
-        sharing a timestamp into one round -- one scheduler invocation,
-        one ``set_rates`` -- via ``EventQueue.pop_batch``. ``False``
-        processes one event per round (a scheduler invocation between
-        each), the legacy dispatch kept for the batching differential
-        tests: traces are identical either way because no time elapses
-        between same-timestamp events, only the invocation count grows.
+        Every event sharing a timestamp is absorbed into one round -- one
+        scheduler invocation, one ``set_rates`` -- via
+        ``EventQueue.pop_batch``.
 
         ``faults``: an optional chaos schedule -- a
         :class:`repro.faults.FaultSchedule`, a spec string (see
@@ -136,30 +120,11 @@ class Engine:
         """
         self.topology = topology
         self.scheduler = scheduler
-        if allocation in (None, "auto"):
-            vector = "auto" if incremental else "off"
-            resolved = "auto" if incremental else "reference"
-        elif allocation == "reference":
-            incremental, vector, resolved = False, "off", "reference"
-        elif allocation == "incremental":
-            incremental, vector, resolved = True, "off", "incremental"
-        elif allocation == "vector":
-            incremental, vector, resolved = True, "on", "vector"
-        else:
-            raise ValueError(
-                f"allocation must be one of 'auto', 'reference', "
-                f"'incremental', 'vector', got {allocation!r}"
-            )
-        #: Resolved allocation mode (cost model only; results identical).
-        self.allocation = resolved
-        self.incremental = incremental
-        self.batch_dispatch = batch_dispatch
         self.network = NetworkModel(
             topology,
             router or ShortestPathRouter(topology),
             strict=strict_rates,
-            incremental=incremental,
-            vector=vector,
+            allocation=allocation,
         )
         self.events = EventQueue()
         self.devices: Dict[str, Device] = {}
@@ -180,8 +145,8 @@ class Engine:
         #: Not-yet-fired background-arrival batches, keyed by exact
         #: timestamp (one coalesced event per distinct injection time).
         self._pending_background: Dict[float, List[Flow]] = {}
-        #: Persistent SchedulerView, refreshed per invocation (incremental
-        #: mode); legacy mode reconstructs one per call like the old code.
+        #: Persistent SchedulerView, built on the first invocation and
+        #: refreshed on every later one.
         self._view: Optional[SchedulerView] = None
         #: Flow ids injected/departed since the scheduler last ran.
         self._delta_injected: List[int] = []
@@ -380,18 +345,7 @@ class Engine:
                 # A freshly-pinned reference also dates earlier members:
                 # exactly the group's undated states, tracked per group.
                 undated = self._undated.pop(flow.group_id, None)
-                if not self.incremental:
-                    # Legacy cost model: find them by scanning all actives
-                    # (metadata-only, so no drain materialization).
-                    for other in self.network.iter_active():
-                        if (
-                            other.flow.group_id == flow.group_id
-                            and other.ideal_finish_time is None
-                        ):
-                            other.ideal_finish_time = group.ideal_finish_time_of(
-                                other.flow
-                            )
-                elif undated:
+                if undated:
                     for other in undated:
                         if other.ideal_finish_time is None:
                             other.ideal_finish_time = group.ideal_finish_time_of(
@@ -526,12 +480,12 @@ class Engine:
 
     def _reschedule(self) -> None:
         cause = self._primary_cause()
-        if self.incremental and self._view is not None:
+        if self._view is not None:
             view = self._view.refresh(
                 self.now, cause, self._delta_injected, self._delta_departed
             )
         else:
-            view = SchedulerView(
+            view = self._view = SchedulerView(
                 now=self.now,
                 network=self.network,
                 echelonflows=self.echelonflows,
@@ -539,8 +493,6 @@ class Engine:
                 injected_flows=tuple(self._delta_injected),
                 departed_flows=tuple(self._delta_departed),
             )
-            if self.incremental:
-                self._view = view
         self._delta_injected.clear()
         self._delta_departed.clear()
         rates = self.scheduler.allocate(view)
@@ -625,10 +577,7 @@ class Engine:
             for state in finished_flows:
                 self._on_flow_finished(state)
 
-            if self.batch_dispatch:
-                due_events = self.events.pop_batch(self.now, TIME_EPS)
-            else:
-                due_events = self.events.pop_first_due(self.now, TIME_EPS)
+            due_events = self.events.pop_batch(self.now, TIME_EPS)
             for event in due_events:
                 if event.kind is EventKind.JOB_ARRIVAL:
                     self._start_job(event.payload)
@@ -652,8 +601,8 @@ class Engine:
                 self._cancel_tick()
 
             # Flows that finished exactly as a rate change landed. The
-            # zero-length advance retires them via the finish index (or a
-            # scan in reference mode) without draining anyone.
+            # zero-length advance retires them via the finish index
+            # without draining anyone.
             settled = self.network.advance(0.0, self.now)
             for state in settled:
                 self._on_flow_finished(state)

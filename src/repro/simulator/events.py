@@ -137,20 +137,6 @@ class EventQueue:
         """
         return self.pop_due(time, tolerance)
 
-    def pop_first_due(self, time: float, tolerance: float = 0.0) -> List[Event]:
-        """At most one due event: the legacy per-event dispatch mode.
-
-        Returns a list (empty or singleton) so the engine's dispatch loop
-        is shared with :meth:`pop_batch`. Kept for the batched-dispatch
-        differential tests: processing same-timestamp events one at a
-        time (with a scheduler invocation between each) must produce the
-        identical trace as one batched round, just more invocations.
-        """
-        self._drop_cancelled()
-        if self._heap and self._heap[0].time <= time + tolerance:
-            return [heapq.heappop(self._heap)]
-        return []
-
     def __len__(self) -> int:
         return sum(1 for event in self._heap if not event.cancelled)
 

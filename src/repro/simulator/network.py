@@ -18,9 +18,7 @@ The hot path is O(changed flows) per event, not O(active flows):
   ``remaining`` was materialized). Advancing time only touches flows that
   finish now; everyone else drains implicitly along ``remaining - rate *
   elapsed`` and is materialized on demand (scheduler reads, rate changes,
-  direct state access). The arithmetic is identical whichever mode finds
-  the flows to touch, so the scan-based reference mode reproduces the
-  incremental mode's traces bit for bit.
+  direct state access).
 * **Finish-time heap.** Projected finish times are pushed into a lazily
   invalidated min-heap whenever a rate changes. ``earliest_finish_interval``
   and ``advance`` pop candidates instead of scanning; keys conservatively
@@ -36,10 +34,10 @@ The hot path is O(changed flows) per event, not O(active flows):
   changed; unchanged flows keep their anchors, heap entries, and link
   contributions untouched.
 
-Constructing the model with ``incremental=False`` keeps the exact same
-drain/retire/allocation semantics but finds work by full scans -- the
-pre-refactor cost model. It exists for the equivalence tests and the
-``bench_scale`` speedup report.
+The finish heap and the residual accounting are audited from outside:
+the ``repro.check`` sanitizer compares :meth:`earliest_finish_interval`
+with a plain scan over :meth:`time_to_finish` (the ``finish_index``
+invariant) and the accounting with :meth:`verify_accounting`.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 from ..core.flow import Flow, FlowState
 from ..core.units import EPS
 from ..topology.graph import Link, Topology
-from .allocation import DemandSet, FlowDemand, LinkAccounting, feasible
+from .allocation import DemandSet, FlowDemand, LinkAccounting
 
 #: Relative slack used when popping heap candidates. Heap keys are float
 #: projections of per-flow finish times; the slack absorbs rounding drift
@@ -95,37 +93,30 @@ class NetworkModel:
         topology: Topology,
         router,
         strict: bool = True,
-        incremental: bool = True,
-        vector="off",
+        allocation: str = "auto",
     ) -> None:
         self.topology = topology
         self.router = router
         self.strict = strict
-        #: ``False`` switches the scan-based reference data paths in; the
-        #: semantics (and therefore traces) are identical either way.
-        self.incremental = incremental
-        #: Max-min kernel selection: ``"off"`` keeps the scalar kernel,
-        #: ``"on"`` forces the numpy dense kernel, ``"auto"`` switches to
-        #: it above :data:`~repro.simulator.vector.VECTOR_AUTO_THRESHOLD`
-        #: active flows. All choices are bit-identical; the mode travels
+        #: Max-min kernel selection: ``"scalar"`` keeps the scalar kernel,
+        #: ``"vector"`` forces the numpy dense kernel, ``"auto"`` switches
+        #: to it above :data:`~repro.simulator.vector.VECTOR_AUTO_THRESHOLD`
+        #: active flows. All choices are bit-identical; the choice travels
         #: on the :class:`DemandSet` this model hands to schedulers.
-        if vector is True:
-            vector = "on"
-        elif vector is False or vector is None:
-            vector = "off"
-        if vector not in ("off", "on", "auto"):
+        if allocation not in ("auto", "scalar", "vector"):
             raise ValueError(
-                f"vector must be one of 'off', 'on', 'auto', got {vector!r}"
+                f"allocation must be one of 'auto', 'scalar', 'vector', "
+                f"got {allocation!r}"
             )
-        if vector == "on":
+        if allocation == "vector":
             from .vector import HAVE_NUMPY
 
             if not HAVE_NUMPY:
                 raise RuntimeError(
-                    "vector allocation mode requires numpy, which is not "
-                    "installed; use allocation='incremental' instead"
+                    "allocation='vector' requires numpy, which is not "
+                    "installed; use allocation='scalar' instead"
                 )
-        self.vector_mode = vector
+        self.allocation = allocation
         self._active: Dict[int, FlowState] = {}
         #: Pinned path of every flow, active or retired. A fork translates
         #: the active flows' paths and inherits retired ones untranslated;
@@ -148,7 +139,7 @@ class NetworkModel:
         #: see :data:`_capacity_token_counter`.
         self.capacity_lineage: Tuple[int, ...] = ()
 
-        # -- incremental state ------------------------------------------
+        # -- hot-path state ---------------------------------------------
         #: The model's own clock: the latest time seen by inject/advance.
         self._now = 0.0
         #: flow id -> time its ``remaining`` was last materialized.
@@ -246,8 +237,7 @@ class NetworkModel:
             topology,
             router,
             strict=self.strict,
-            incremental=self.incremental,
-            vector=self.vector_mode,
+            allocation=self.allocation,
         )
         twin.capacity_epoch = self.capacity_epoch
         twin.capacity_lineage = self.capacity_lineage
@@ -457,6 +447,21 @@ class NetworkModel:
             return float("inf")
         return remaining / state.rate
 
+    def time_to_finish(self, flow_id: int) -> float:
+        """An active flow's interval until it drains at its current rate.
+
+        The exact per-flow arithmetic behind :meth:`earliest_finish_interval`,
+        read without the finish heap and without materializing the drain.
+        """
+        return self._time_to_finish(self._active[flow_id], self._anchor[flow_id])
+
+    def projected_remaining(self, flow_id: int, t: float) -> float:
+        """An active flow's ``remaining`` at ``t`` -- the per-flow
+        arithmetic :meth:`advance` retires by; no mutation."""
+        return self._projected_remaining(
+            self._active[flow_id], self._anchor[flow_id], t
+        )
+
     # -- finish heap ----------------------------------------------------
 
     def _push_finish(self, flow_id: int, state: FlowState) -> None:
@@ -575,14 +580,14 @@ class NetworkModel:
 
     def _vector_active(self) -> bool:
         """Does the current kernel decision land on the vector path?"""
-        mode = self.vector_mode
-        if mode == "off":
+        mode = self.allocation
+        if mode == "scalar":
             return False
         from .vector import HAVE_NUMPY, VECTOR_AUTO_THRESHOLD
 
         if not HAVE_NUMPY:
             return False
-        if mode == "on":
+        if mode == "vector":
             return True
         return len(self._active) >= VECTOR_AUTO_THRESHOLD
 
@@ -593,7 +598,7 @@ class NetworkModel:
         back-to-back scheduler reads within a round reuse both the list
         and -- in vector mode -- the dense incidence interning built on
         first kernel dispatch. The kernel hint is stamped at build time
-        from :attr:`vector_mode` (and, in ``auto`` mode, the active flow
+        from :attr:`allocation` (and, in ``auto`` mode, the active flow
         count, which only changes when the revision does). A vector set
         inherits the previous set's interning to patch, so a revision
         step pays for what changed rather than for every live flow.
@@ -642,7 +647,7 @@ class NetworkModel:
         (:meth:`_set_rates_bulk`); the per-flow state mutations it
         performs are identical to this scalar path's.
         """
-        if self.incremental and self._set_rates_bulk(rates):
+        if self._set_rates_bulk(rates):
             return
         changed: List[Tuple[int, FlowState, float]] = []
         for flow_id, state in self._active.items():
@@ -652,12 +657,7 @@ class NetworkModel:
             if rate != state.rate:
                 changed.append((flow_id, state, rate))
 
-        if self.incremental:
-            ok = self._feasible_changed(changed)
-        else:
-            clean = {fid: rates.get(fid, 0.0) for fid in self._active}
-            ok = feasible(self.demands(), clean, tolerance=1e-6)
-        if not ok:
+        if not self._feasible_changed(changed):
             if self.strict:
                 raise CapacityViolation(
                     "scheduler allocation violates link capacities"
@@ -843,10 +843,7 @@ class NetworkModel:
                 return False
             if rate != state.rate:
                 changed.append((flow_id, state, rate))
-        if self.incremental:
-            return self._feasible_changed(changed)
-        clean = {fid: rates.get(fid, 0.0) for fid in self._active}
-        return feasible(self.demands(), clean, tolerance=1e-6)
+        return self._feasible_changed(changed)
 
     def _scale_to_capacity(self, rates: Dict[int, float]) -> Dict[int, float]:
         """Scale rates down uniformly per saturated link until feasible.
@@ -1077,14 +1074,6 @@ class NetworkModel:
         """Time until the first active flow completes at current rates."""
         active = self._active
         anchors = self._anchor
-        if not self.incremental:
-            horizon = float("inf")
-            for flow_id in self._order:
-                interval = self._time_to_finish(active[flow_id], anchors[flow_id])
-                if interval < horizon:
-                    horizon = interval
-            return horizon
-
         heap = self._finish_heap
         tokens = self._heap_token
         best = float("inf")
@@ -1125,28 +1114,19 @@ class NetworkModel:
         active = self._active
         anchors = self._anchor
 
-        if self.incremental:
-            repush: List[Tuple[float, int, int]] = []
-            for entry in self._pop_candidates(finish_time):
-                flow_id = entry[1]
-                state = active[flow_id]
-                remaining = self._projected_remaining(
-                    state, anchors[flow_id], finish_time
-                )
-                if remaining <= self._finish_threshold(state.flow):
-                    finished.append(state)
-                else:
-                    repush.append(entry)
-            for entry in repush:
-                heapq.heappush(self._finish_heap, entry)
-        else:
-            for flow_id in self._order:
-                state = active[flow_id]
-                remaining = self._projected_remaining(
-                    state, anchors[flow_id], finish_time
-                )
-                if remaining <= self._finish_threshold(state.flow):
-                    finished.append(state)
+        repush: List[Tuple[float, int, int]] = []
+        for entry in self._pop_candidates(finish_time):
+            flow_id = entry[1]
+            state = active[flow_id]
+            remaining = self._projected_remaining(
+                state, anchors[flow_id], finish_time
+            )
+            if remaining <= self._finish_threshold(state.flow):
+                finished.append(state)
+            else:
+                repush.append(entry)
+        for entry in repush:
+            heapq.heappush(self._finish_heap, entry)
 
         self._now = finish_time
         finished.sort(key=lambda s: s.flow.flow_id)

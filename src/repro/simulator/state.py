@@ -103,7 +103,6 @@ class EngineState:
     undated: Dict[str, Tuple[int, ...]]
     scheduler_invocations: int
     scheduling_interval: Optional[float]
-    incremental: bool
     device_slots: Any
     #: Engine-scoped flow-id allocator position at capture.
     flow_ids: FlowIdAllocator
@@ -115,11 +114,6 @@ class EngineState:
     faults_schedule: Any = None
     faults_fired: List[Dict] = field(default_factory=list)
     faults_pending: List[Tuple[float, int, Any]] = field(default_factory=list)
-    #: Resolved allocation mode ("auto"/"reference"/"incremental"/
-    #: "vector"); the network fork carries the matching kernel mode.
-    allocation: str = "auto"
-    #: Event-dispatch mode: batched (default) or legacy per-event.
-    batch_dispatch: bool = True
 
 
 @dataclass(frozen=True)
@@ -229,7 +223,6 @@ def capture(engine, version: int) -> StateHandle:
         },
         scheduler_invocations=engine.scheduler_invocations,
         scheduling_interval=engine.scheduling_interval,
-        incremental=engine.incremental,
         device_slots=(
             dict(engine._device_slots)
             if isinstance(engine._device_slots, dict)
@@ -244,8 +237,6 @@ def capture(engine, version: int) -> StateHandle:
             else []
         ),
         faults_pending=fault_entries,
-        allocation=engine.allocation,
-        batch_dispatch=engine.batch_dispatch,
     )
     return StateHandle(version=version, time=engine.now, state=state)
 
@@ -317,9 +308,6 @@ def materialize(handle: StateHandle, target: Optional[Engine] = None) -> Engine:
     network = state.network.fork()
     engine.network = network
     engine.topology = network.topology
-    engine.incremental = state.incremental
-    engine.allocation = state.allocation
-    engine.batch_dispatch = state.batch_dispatch
     engine.scheduler = _fork_scheduler(state.scheduler)
     engine.now = state.now
 

@@ -1,15 +1,13 @@
 """Batched event dispatch: one scheduler round per timestamp.
 
-The engine's default (``batch_dispatch=True``) absorbs every event due
-at the frontier timestamp into one dispatch round -- one scheduler
-invocation and one ``set_rates`` -- via ``EventQueue.pop_batch``. The
-legacy per-event mode (``batch_dispatch=False``) processes the same
-events one at a time with a scheduler invocation between each. Zero
-simulated time elapses between same-timestamp events, so the two modes
-must produce the *identical* trace (flow records, JCTs, task events,
-end time); only the invocation count differs. Fault events order before
-arrivals and timers inside a batch, so a capacity change always lands
-before the allocation that must respect it.
+The engine absorbs every event due at the frontier timestamp into one
+dispatch round -- one scheduler invocation and one ``set_rates`` -- via
+``EventQueue.pop_batch``. Zero simulated time elapses between
+same-timestamp events, so dispatching them one at a time would produce
+the identical trace with more invocations; the pinned trace below is the
+one both dispatch orders produced. Fault events order before arrivals
+and timers inside a batch, so a capacity change always lands before the
+allocation that must respect it.
 """
 
 import pytest
@@ -72,17 +70,6 @@ def test_pop_batch_returns_full_timestamp_batch_in_priority_order():
     assert q.pop_batch(1.5) == []
 
 
-def test_pop_first_due_is_singleton_or_empty():
-    q = EventQueue()
-    q.push(1.0, EventKind.TIMER)
-    q.push(1.0, EventKind.FAULT)
-    first = q.pop_first_due(1.0)
-    assert [e.kind for e in first] == [EventKind.FAULT]
-    second = q.pop_first_due(1.0)
-    assert [e.kind for e in second] == [EventKind.TIMER]
-    assert q.pop_first_due(1.0) == []
-
-
 def test_pop_batch_respects_tolerance():
     q = EventQueue()
     q.push(1.0, EventKind.TIMER)
@@ -90,21 +77,16 @@ def test_pop_batch_respects_tolerance():
     assert len(q.pop_batch(1.0, tolerance=1e-9)) == 2
 
 
-# ------------------------------------------------- batched == unbatched
+# ------------------------------------------------------ batched rounds
 
 
-def _mixed_engine(batch_dispatch):
+def _mixed_engine():
     """Several event bursts over a network kept busy throughout.
 
-    The long ``bg`` flow never finishes before the last burst, so the
-    per-event mode really does reschedule between same-timestamp events
-    instead of skipping invocations on an idle network.
+    The long ``bg`` flow never finishes before the last burst, so every
+    burst lands on a live network that needs a fresh allocation.
     """
-    engine = Engine(
-        two_hosts(1.0),
-        _Recorder(),
-        batch_dispatch=batch_dispatch,
-    )
+    engine = Engine(two_hosts(1.0), _Recorder())
     engine.inject_background_flow(Flow("h0", "h1", 8.0, tag="bg"), at_time=0.0)
     # At t=1.0 a fault halves the link (FAULT, ordered first in the
     # batch) the very instant a new flow arrives (TIMER).
@@ -118,27 +100,39 @@ def _mixed_engine(batch_dispatch):
     return engine
 
 
-def test_batched_trace_identical_to_unbatched():
-    batched = _mixed_engine(batch_dispatch=True)
-    unbatched = _mixed_engine(batch_dispatch=False)
-    batched_trace = batched.run()
-    unbatched_trace = unbatched.run()
+#: The trace of :func:`_mixed_engine`, identical under batched and
+#: one-event-per-round dispatch (the latter paid a fifth invocation: the
+#: t=1.0 fault and arrival split in two).
+_MIXED_FLOW_RECORDS = [
+    ("h0", "h1", 0.25, "late-a", 4.0, 6.0),
+    ("h0", "h1", 0.25, "late-b", 4.0, 6.0),
+    ("h0", "h1", 1.0, "second", 1.0, 6.0),
+    ("h0", "h1", 8.0, "bg", 0.0, 18.0),
+]
 
-    assert _flow_records_key(batched_trace) == _flow_records_key(unbatched_trace)
-    assert batched_trace.end_time == unbatched_trace.end_time
-    # Per-event mode pays strictly more scheduler invocations for the
-    # same simulation: the t=1.0 fault+arrival batch alone splits in two.
-    assert batched.scheduler_invocations < unbatched.scheduler_invocations
-    # Every allocation the batched run produced appears identically in
-    # the unbatched run's log (which interleaves extra invocations at
-    # the same timestamps, allocating over intermediate flow sets).
-    unbatched_entries = {(now, rates) for now, _, rates in unbatched.scheduler.log}
-    for now, _, rates in batched.scheduler.log:
-        assert (now, rates) in unbatched_entries
+
+def test_batched_trace_identical_to_unbatched():
+    engine = _mixed_engine()
+    trace = engine.run()
+    assert _flow_records_key(trace) == _MIXED_FLOW_RECORDS
+    assert trace.end_time == 18.0
+
+
+def test_batched_dispatch_is_the_default():
+    # One invocation per distinct timestamp that changed the flow set.
+    engine = _mixed_engine()
+    engine.run()
+    assert engine.scheduler_invocations == 4
+    assert [(now, cause) for now, cause, _ in engine.scheduler.log] == [
+        (0.0, "arrival"),
+        (1.0, "fault"),
+        (4.0, "arrival"),
+        (6.0, "departure"),
+    ]
 
 
 def test_simultaneous_fault_and_arrival_one_invocation_fault_cause():
-    engine = _mixed_engine(batch_dispatch=True)
+    engine = _mixed_engine()
     engine.run()
     at_one = [entry for entry in engine.scheduler.log if entry[0] == 1.0]
     # One batch -> one invocation for fault + arrival + finish at t=1.0.
@@ -148,21 +142,6 @@ def test_simultaneous_fault_and_arrival_one_invocation_fault_cause():
     # The fault landed before the allocation: the halved link is
     # respected by the rates the scheduler just produced.
     assert sum(rate for *_key, rate in rates) <= 0.5 + 1e-9
-
-
-def test_unbatched_orders_fault_before_arrival_at_same_timestamp():
-    engine = _mixed_engine(batch_dispatch=False)
-    engine.run()
-    causes_at_one = [entry[1] for entry in engine.scheduler.log if entry[0] == 1.0]
-    assert len(causes_at_one) >= 2
-    # FAULT events pop before TIMER events at the same instant, so the
-    # fault's invocation precedes the background arrival's.
-    assert causes_at_one.index("fault") < causes_at_one.index("arrival")
-
-
-def test_batched_dispatch_is_the_default():
-    engine = Engine(two_hosts(1.0), FairSharingScheduler())
-    assert engine.batch_dispatch is True
 
 
 def test_simultaneous_finish_and_arrival_one_invocation():

@@ -1,19 +1,20 @@
-"""Randomized property tests for the incremental link accounting.
+"""Randomized property tests for the residual link accounting.
 
 The :class:`~repro.simulator.allocation.LinkAccounting` residuals are the
-incremental core's load-bearing state: every feasibility gate and lenient
+simulation core's load-bearing state: every feasibility gate and lenient
 scaling decision reads them instead of re-aggregating active flows. These
 tests drive a :class:`~repro.simulator.network.NetworkModel` through long
 random inject / set_rates / advance sequences and, after every single
 operation, audit the residuals against a from-scratch recompute via
-``verify_accounting`` -- the same audit the runtime sanitizer samples.
+``verify_accounting`` -- the same audit the runtime sanitizer samples --
+and the finish heap against the ``finish_index`` scan.
 """
 
 import random
 
 import pytest
 
-from repro.check import infeasible_links, unserved_flows
+from repro.check import infeasible_links, scan_earliest_finish, unserved_flows
 from repro.core.flow import Flow
 from repro.simulator.allocation import DemandSet, FlowDemand, feasible, max_min_fair
 from repro.simulator.network import NetworkModel
@@ -23,9 +24,12 @@ from repro.topology import ShortestPathRouter, big_switch, leaf_spine
 from repro.topology.graph import Link
 
 
-def _network(topology, incremental):
+def _network(topology, vector=False):
     return NetworkModel(
-        topology, ShortestPathRouter(topology), strict=False, incremental=incremental
+        topology,
+        ShortestPathRouter(topology),
+        strict=False,
+        allocation="vector" if vector and HAVE_NUMPY else "scalar",
     )
 
 
@@ -59,6 +63,7 @@ def _random_walk(network, rng, hosts, steps):
             now += dt
         problems = network.verify_accounting()
         assert problems == [], problems
+        assert network.earliest_finish_interval() == scan_earliest_finish(network)
         # The applied (possibly capacity-scaled) rates are always feasible.
         applied = {s.flow.flow_id: s.rate for s in network.iter_active()}
         assert infeasible_links(network.demands(), applied) == []
@@ -66,10 +71,10 @@ def _random_walk(network, rng, hosts, steps):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("incremental", [True, False])
-def test_accounting_matches_recompute_big_switch(seed, incremental):
+@pytest.mark.parametrize("vector", [True, False])
+def test_accounting_matches_recompute_big_switch(seed, vector):
     topology = big_switch(6, host_bandwidth=2.0)
-    network = _network(topology, incremental)
+    network = _network(topology, vector)
     rng = random.Random(seed)
     _random_walk(network, rng, [f"h{i}" for i in range(6)], steps=150)
 
@@ -79,14 +84,14 @@ def test_accounting_matches_recompute_leaf_spine(seed):
     topology = leaf_spine(
         n_leaves=2, hosts_per_leaf=3, host_bandwidth=2.0, oversubscription=2.0
     )
-    network = _network(topology, incremental=True)
+    network = _network(topology)
     rng = random.Random(seed)
     _random_walk(network, rng, [f"h{i}" for i in range(6)], steps=120)
 
 
 def test_drain_to_completion_keeps_accounting_clean():
     topology = big_switch(4, host_bandwidth=2.0)
-    network = _network(topology, incremental=True)
+    network = _network(topology)
     rng = random.Random(99)
     hosts = [f"h{i}" for i in range(4)]
     now = _random_walk(network, rng, hosts, steps=60)
@@ -105,7 +110,7 @@ def test_drain_to_completion_keeps_accounting_clean():
 
 def test_verify_accounting_detects_tampering():
     topology = big_switch(3, host_bandwidth=2.0)
-    network = _network(topology, incremental=True)
+    network = _network(topology)
     network.inject(Flow(src="h0", dst="h1", size=5.0), 0.0)
     state = network.active_states()[0]
     network.set_rates({state.flow.flow_id: 1.0})
@@ -141,7 +146,7 @@ def test_max_min_fair_is_work_conserving_on_random_instances():
     for seed in range(6):
         rng = random.Random(seed)
         topology = big_switch(5, host_bandwidth=1.0 + rng.random() * 3.0)
-        network = _network(topology, incremental=True)
+        network = _network(topology)
         hosts = [f"h{i}" for i in range(5)]
         for _ in range(rng.randrange(1, 12)):
             src, dst = rng.sample(hosts, 2)
@@ -156,7 +161,7 @@ def test_max_min_fair_is_work_conserving_on_random_instances():
 
 def test_unserved_flows_flags_idle_capacity():
     topology = big_switch(3, host_bandwidth=2.0)
-    network = _network(topology, incremental=True)
+    network = _network(topology)
     network.inject(Flow(src="h0", dst="h1", size=5.0), 0.0)
     demands = _demands(network)
     flow_id = demands[0].flow_id
@@ -182,7 +187,7 @@ def test_unserved_flows_flags_idle_capacity():
 
 def test_infeasible_links_reports_the_overload():
     topology = big_switch(3, host_bandwidth=1.0)
-    network = _network(topology, incremental=True)
+    network = _network(topology)
     network.inject(Flow(src="h0", dst="h2", size=5.0), 0.0)
     network.inject(Flow(src="h1", dst="h2", size=5.0), 0.0)
     demands = _demands(network)
@@ -337,7 +342,7 @@ def test_vector_allocation_passes_the_sanitizer_helpers():
     for seed in (21, 22):
         rng = random.Random(seed)
         topology = big_switch(6, host_bandwidth=1.0 + rng.random() * 3.0)
-        network = _network(topology, incremental=True)
+        network = _network(topology)
         hosts = [f"h{i}" for i in range(6)]
         for _ in range(rng.randrange(4, 16)):
             src, dst = rng.sample(hosts, 2)
@@ -409,7 +414,7 @@ def test_patched_incidence_matches_fresh_build(seed, monkeypatch):
         n_leaves=3, hosts_per_leaf=3, host_bandwidth=2.0, n_spines=3
     )
     router = ShortestPathRouter(topology)
-    network = NetworkModel(topology, router, strict=False, vector="on")
+    network = NetworkModel(topology, router, strict=False, allocation="vector")
     hosts = [f"h{i}" for i in range(9)]
     uplinks = [key for key in topology._links if key[1].startswith("spine")]
     rng = random.Random(seed)
@@ -461,7 +466,7 @@ def test_capacity_change_between_decisions_forces_a_fresh_solve(monkeypatch):
 
     monkeypatch.setattr(vector_mod, "_water_fill", spy)
     topology = big_switch(4, host_bandwidth=3.0)
-    network = NetworkModel(topology, ShortestPathRouter(topology), vector="on")
+    network = NetworkModel(topology, ShortestPathRouter(topology), allocation="vector")
     for src, dst in (("h0", "h1"), ("h0", "h2"), ("h3", "h1"), ("h2", "h1")):
         network.inject(Flow(src=src, dst=dst, size=10.0), 0.0)
     demands = network.demands()

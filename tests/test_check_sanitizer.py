@@ -8,6 +8,7 @@ logs, global stats, and the obs event log.
 """
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -121,6 +122,11 @@ def test_invariant_catalog_is_complete():
     assert invariant_names() == sorted(INVARIANTS)
     for summary, anchor in INVARIANTS.values():
         assert summary and anchor
+    catalog = (
+        Path(__file__).resolve().parent.parent / "docs" / "correctness.md"
+    ).read_text()
+    for name in INVARIANTS:
+        assert f"| `{name}` |" in catalog, f"docs/correctness.md lacks {name!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +324,38 @@ def test_conservation_hook_flags_undrained_flow():
     assert sanitizer.log.counts["conservation"] == 1
     [violation] = sanitizer.log.violations
     assert violation.details["remaining"] == 1.0
+
+
+def test_finish_index_flags_a_heap_that_lost_the_next_departure():
+    engine = _fig2_engine(FairSharingScheduler(), sanitizer="collect:twin=0")
+    engine.run(until=0.5)
+    network = engine.network
+    assert network.active_count
+    engine.check.on_fault(engine, engine.now)  # an intact heap is clean
+    assert engine.check.log.counts.get("finish_index", 0) == 0
+    network._finish_heap.clear()  # every projected finish forgotten
+    engine.check.on_fault(engine, engine.now)
+    assert engine.check.log.counts["finish_index"] == 1
+    [violation] = engine.check.log.violations
+    assert violation.details["indexed"] == float("inf")
+    assert violation.details["scanned"] < float("inf")
+
+
+def test_arrangement_flags_undated_member_of_pinned_group():
+    class _Undating(FairSharingScheduler):
+        """Fair sharing that wipes every cached deadline it sees."""
+
+        def allocate(self, view):
+            for state in view.active_states():
+                state.ideal_finish_time = None
+            return super().allocate(view)
+
+    engine = _fig2_engine(_Undating(), sanitizer="strict:twin=0")
+    with pytest.raises(CheckViolation) as excinfo:
+        engine.run()
+    violation = excinfo.value.violation
+    assert violation.invariant == "arrangement"
+    assert violation.details["groups"] == ["fig2/ef"]
 
 
 def test_task_dependency_ordering_hook():

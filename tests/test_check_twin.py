@@ -1,11 +1,10 @@
 """The differential twin oracle at 100% sampling.
 
-Bit-equivalence of the incremental core against the retained reference
-core is proven offline by ``test_incremental_equivalence``; these tests
-assert the *online* detector reaches the same verdict -- every scheduler
-invocation of a sanitized run, shadow-executed against a freshly
-reconstructed reference network, agrees rate-for-rate -- and that a
-genuinely state-dependent (hence non-replayable) scheduler is caught.
+Every scheduler invocation of a sanitized run, shadow-executed against a
+freshly reconstructed network running the other max-min kernel, must
+agree rate-for-rate; a genuinely state-dependent (hence non-replayable)
+scheduler must be caught. Offline, ``test_incremental_equivalence`` holds
+whole runs to pinned trace digests.
 """
 
 import random
@@ -159,22 +158,40 @@ def test_twin_on_interval_scheduling_and_background_flows():
     _assert_twin_clean(engine)
 
 
+def _record_twin_allocations(monkeypatch):
+    """Spy on the twin's reconstructions; returns the list of the
+    ``allocation`` each rebuilt network was given."""
+    from repro.check.twin import TwinOracle
+
+    seen = []
+    real = TwinOracle._reconstruct
+
+    def spy(self, network, now):
+        twin = real(self, network, now)
+        seen.append(twin.allocation)
+        return twin
+
+    monkeypatch.setattr(TwinOracle, "_reconstruct", spy)
+    return seen
+
+
 @pytest.mark.parametrize(
-    "primary, twin_kernel",
-    [("vector", "scalar"), ("incremental", "vector")],
+    "primary, twin",
+    [("vector", "scalar"), ("scalar", "vector")],
     ids=["vector-primary-scalar-twin", "scalar-primary-vector-twin"],
 )
-def test_twin_kernel_differential(primary, twin_kernel):
+def test_twin_replays_on_the_other_kernel(primary, twin, monkeypatch):
     # The scalar-vs-vector kernel identity, re-proven online: the primary
     # allocates with one kernel, the twin's shadow replay with the other,
     # and every sampled invocation must agree at twin_tol=0.
     pytest.importorskip("numpy")
+    seen = _record_twin_allocations(monkeypatch)
     engine = Engine(
         big_switch(6, host_bandwidth=4.0),
         FairSharingScheduler(),
         scheduling_interval=0.25,
         allocation=primary,
-        sanitizer=f"strict:twin=1.0,twin_kernel={twin_kernel}",
+        sanitizer=TWIN_EVERYWHERE,
     )
     rng = random.Random(11)
     for i in range(40):
@@ -185,28 +202,41 @@ def test_twin_kernel_differential(primary, twin_kernel):
             at_time=rng.random() * 1.5,
         )
     _assert_twin_clean(engine)
+    assert seen and set(seen) == {twin}
 
 
-def test_twin_kernel_vector_degrades_without_numpy(monkeypatch):
-    # twin_kernel=vector on a numpy-less host must fall back to the
-    # scalar replay rather than fail -- mirroring the engine's own
+def test_scalar_primary_gets_a_scalar_twin_without_numpy(monkeypatch):
+    # With no numpy the twin cannot run the vector kernel; it falls back
+    # to a scalar replay rather than fail -- mirroring the engine's own
     # degradation contract.
     from repro.check import twin as twin_mod
 
     monkeypatch.setattr(twin_mod, "HAVE_NUMPY", False)
+    seen = _record_twin_allocations(monkeypatch)
     engine = Engine(
-        two_hosts(1.0),
-        FairSharingScheduler(),
-        sanitizer="strict:twin=1.0,twin_kernel=vector",
+        two_hosts(1.0), FairSharingScheduler(), sanitizer=TWIN_EVERYWHERE
     )
     job = build_pipeline_segment("seg", "h0", "h1", [0.0], [2.0], [2.0])
     job.submit_to(engine)
     _assert_twin_clean(engine)
+    assert seen and set(seen) == {"scalar"}
 
 
-def test_twin_kernel_spec_is_validated():
-    with pytest.raises(ValueError):
-        check.CheckConfig(twin_kernel="simd")
+def test_twin_carries_the_capacity_lineage_after_link_faults():
+    # Regression: the twin rebuilt its network with an empty capacity
+    # lineage, so after a link fault a memoizing primary and the twin's
+    # copied memo keyed different fingerprints -- one replayed a
+    # quantized entry, the other solved fresh -- and the twin reported a
+    # last-ulp divergence that was not there.
+    from repro.whatif import WhatIfService
+
+    service = WhatIfService.build(
+        hosts=8, jobs=4, iterations=1, sanitizer=TWIN_EVERYWHERE
+    )
+    result = service.run_query(
+        "kill_link:h1-core@30%+25%", mode="cold", detail="deltas"
+    )
+    assert result.variant_makespan > 0
 
 
 def test_twin_sampling_fraction_is_respected():
@@ -263,7 +293,7 @@ def test_twin_flags_state_dependent_scheduler_strict():
         _drifting_engine("strict").run()
     assert excinfo.value.violation.invariant == "twin"
     details = excinfo.value.violation.details
-    assert details["incremental_rate"] != details["reference_rate"]
+    assert details["primary_rate"] != details["twin_rate"]
 
 
 def test_twin_flags_state_dependent_scheduler_collect():

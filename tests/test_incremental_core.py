@@ -1,10 +1,11 @@
-"""Unit tests for the incremental simulation-core primitives.
+"""Unit tests for the simulation core's hot-path primitives.
 
 Covers the pieces individually -- residual link accounting, the lazy
-drain, the finish-time heap (via twin-network differential fuzzing),
+drain, the finish-time heap (fuzzed against the ``repro.check`` scans),
 engine-maintained group buckets, the scheduler-view delta, the per-group
 undated index, and the trace's per-job task index -- complementing the
 end-to-end run equivalence in ``test_incremental_equivalence.py``.
+Network-level tests run on both max-min kernels (``vector`` True/False).
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 
 from repro.core.arrangement import CoflowArrangement
 from repro.core.echelonflow import EchelonFlow
+from repro.check import scan_earliest_finish, scan_finishing
 from repro.core.flow import Flow
 from repro.scheduling import FairSharingScheduler
 from repro.scheduling.base import Scheduler, SchedulerView
@@ -24,9 +26,12 @@ from repro.topology import big_switch, two_hosts
 from repro.topology.routing import ShortestPathRouter
 
 
-def _network(topology, incremental, strict=True):
+def _network(topology, vector=False, strict=True):
     return NetworkModel(
-        topology, ShortestPathRouter(topology), strict=strict, incremental=incremental
+        topology,
+        ShortestPathRouter(topology),
+        strict=strict,
+        allocation="vector" if vector else "scalar",
     )
 
 
@@ -45,7 +50,7 @@ class TestLinkAccounting:
 
     def test_watch_apply_unwatch_roundtrip(self):
         topo = big_switch(2, 10.0)
-        net = _network(topo, incremental=True)
+        net = _network(topo)
         flow = _flow("h0", "h1", 100.0)
         net.inject(flow, 0.0)
         acc = net.accounting
@@ -104,9 +109,9 @@ class TestLinkAccounting:
 
 
 class TestLazyDrain:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_state_read_materializes_drain(self, incremental):
-        net = _network(two_hosts(1.0), incremental)
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_state_read_materializes_drain(self, vector):
+        net = _network(two_hosts(1.0), vector)
         flow = _flow("h0", "h1", 10.0)
         net.inject(flow, 0.0)
         net.set_rates({flow.flow_id: 1.0})
@@ -115,9 +120,9 @@ class TestLazyDrain:
         assert net.state(flow.flow_id).remaining == pytest.approx(6.0)
         assert net.bytes_delivered == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_active_states_syncs_everyone(self, incremental):
-        net = _network(big_switch(4, 10.0), incremental)
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_active_states_syncs_everyone(self, vector):
+        net = _network(big_switch(4, 10.0), vector)
         flows = [_flow(f"h{i}", f"h{(i + 1) % 4}", 10.0) for i in range(4)]
         for flow in flows:
             net.inject(flow, 0.0)
@@ -128,9 +133,9 @@ class TestLazyDrain:
         for state in states:
             assert state.remaining == pytest.approx(8.0)
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_zero_rate_flows_never_drift(self, incremental):
-        net = _network(two_hosts(1.0), incremental)
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_zero_rate_flows_never_drift(self, vector):
+        net = _network(two_hosts(1.0), vector)
         flow = _flow("h0", "h1", 10.0)
         net.inject(flow, 0.0)
         net.advance(5.0, 0.0)
@@ -144,17 +149,17 @@ class TestLazyDrain:
 
 
 class TestSetRates:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_negative_rate_rejected(self, incremental):
-        net = _network(two_hosts(1.0), incremental)
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_negative_rate_rejected(self, vector):
+        net = _network(two_hosts(1.0), vector)
         flow = _flow("h0", "h1", 10.0)
         net.inject(flow, 0.0)
         with pytest.raises(ValueError):
             net.set_rates({flow.flow_id: -1.0})
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_strict_violation_mutates_nothing(self, incremental):
-        net = _network(two_hosts(1.0), incremental, strict=True)
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_strict_violation_mutates_nothing(self, vector):
+        net = _network(two_hosts(1.0), vector, strict=True)
         a, b = _flow("h0", "h1", 10.0), _flow("h0", "h1", 10.0)
         net.inject(a, 0.0)
         net.inject(b, 0.0)
@@ -167,7 +172,7 @@ class TestSetRates:
         assert net.earliest_finish_interval() == pytest.approx(20.0)
 
     def test_unchanged_rates_do_not_grow_the_heap(self):
-        net = _network(two_hosts(1.0), incremental=True)
+        net = _network(two_hosts(1.0))
         a, b = _flow("h0", "h1", 10.0), _flow("h0", "h1", 10.0)
         net.inject(a, 0.0)
         net.inject(b, 0.0)
@@ -178,7 +183,7 @@ class TestSetRates:
         assert len(net._finish_heap) == before
 
     def test_heap_stays_compact_under_repacing(self):
-        net = _network(two_hosts(1.0), incremental=True)
+        net = _network(two_hosts(1.0))
         flows = [_flow("h0", "h1", 1000.0) for _ in range(8)]
         for flow in flows:
             net.inject(flow, 0.0)
@@ -193,23 +198,21 @@ class TestSetRates:
 
 
 # ---------------------------------------------------------------------------
-# twin-network differential fuzz: heap/index vs. full scans
+# finish-heap fuzz: heap answers vs. the repro.check scans
 # ---------------------------------------------------------------------------
 
 
 class TestTwinNetworkFuzz:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_random_op_sequences_agree_exactly(self, seed):
-        topo = big_switch(4, 10.0)
-        inc = _network(topo, incremental=True, strict=False)
-        ref = _network(topo, incremental=False, strict=False)
+        net = _network(big_switch(4, 10.0), strict=False)
         rng = random.Random(seed)
         now = 0.0
-        next_flows = []
+        retired = 0
 
         for step in range(300):
             op = rng.random()
-            if op < 0.25 or not inc.active_count:
+            if op < 0.25 or not net.active_count:
                 src = rng.randrange(4)
                 dst = (src + rng.randrange(1, 4)) % 4
                 flow = _flow(
@@ -218,52 +221,44 @@ class TestTwinNetworkFuzz:
                     0.5 + rng.random() * 5.0,
                     group_id=f"g{rng.randrange(3)}" if rng.random() < 0.7 else None,
                 )
-                inc.inject(flow, now)
-                ref.inject(flow, now)
-                next_flows.append(flow.flow_id)
+                net.inject(flow, now)
             elif op < 0.6:
                 rates = {
                     s.flow.flow_id: rng.random() * 4.0
-                    for s in inc.iter_active()
+                    for s in net.iter_active()
                     if rng.random() < 0.8
                 }
-                inc.set_rates(rates)
-                ref.set_rates(rates)
+                net.set_rates(rates)
             else:
-                horizon = inc.earliest_finish_interval()
+                horizon = net.earliest_finish_interval()
                 if horizon == float("inf"):
                     dt = rng.random()
                 else:
                     dt = horizon * rng.choice([0.5, 1.0, 1.0])
-                done_inc = inc.advance(dt, now)
-                done_ref = ref.advance(dt, now)
+                expected = scan_finishing(net, now + dt)
+                done = net.advance(dt, now)
                 now += dt
-                assert [s.flow.flow_id for s in done_inc] == [
-                    s.flow.flow_id for s in done_ref
-                ]
-                assert [s.finish_time for s in done_inc] == [
-                    s.finish_time for s in done_ref
-                ]
+                assert [s.flow.flow_id for s in done] == expected
+                assert all(s.finish_time == now for s in done)
+                retired += len(done)
 
-            # Observable state must agree exactly after every operation.
-            assert inc.earliest_finish_interval() == ref.earliest_finish_interval()
-            assert inc.link_usage() == ref.link_usage()
-            inc_states = inc.active_states()
-            ref_states = ref.active_states()
-            assert [s.flow.flow_id for s in inc_states] == [
-                s.flow.flow_id for s in ref_states
-            ]
-            assert [s.remaining for s in inc_states] == [
-                s.remaining for s in ref_states
-            ]
-            assert [s.rate for s in inc_states] == [s.rate for s in ref_states]
+            # The heap's answer equals the scan's after every operation,
+            # and the maintained accounting and buckets equal recomputes.
+            assert net.earliest_finish_interval() == scan_earliest_finish(net)
+            assert net.verify_accounting() == []
+            states = net.active_states()
+            expected_buckets = {}
+            for state in states:
+                expected_buckets.setdefault(state.flow.group_id, []).append(
+                    state.flow.flow_id
+                )
             assert [
-                (gid, [s.flow.flow_id for s in states])
-                for gid, states in inc.group_buckets()
-            ] == [
-                (gid, [s.flow.flow_id for s in states])
-                for gid, states in ref.group_buckets()
-            ]
+                (gid, [s.flow.flow_id for s in bucket])
+                for gid, bucket in net.group_buckets()
+            ] == sorted(
+                expected_buckets.items(), key=lambda kv: (kv[0] is None, kv[0] or "")
+            )
+        assert retired > 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +267,9 @@ class TestTwinNetworkFuzz:
 
 
 class TestGroupBuckets:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_sorted_by_group_none_last_fids_ascending(self, incremental):
-        net = _network(big_switch(4, 10.0), incremental)
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_sorted_by_group_none_last_fids_ascending(self, vector):
+        net = _network(big_switch(4, 10.0), vector)
         flows = [
             _flow("h0", "h1", 5.0, group_id="b"),
             _flow("h1", "h2", 5.0, group_id="a"),
@@ -290,9 +285,9 @@ class TestGroupBuckets:
             [flows[1].flow_id, flows[3].flow_id]
         )
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_retirement_empties_buckets(self, incremental):
-        net = _network(two_hosts(1.0), incremental)
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_retirement_empties_buckets(self, vector):
+        net = _network(two_hosts(1.0), vector)
         flow = _flow("h0", "h1", 1.0, group_id="g")
         net.inject(flow, 0.0)
         net.set_rates({flow.flow_id: 1.0})
@@ -323,7 +318,7 @@ class _ViewProbe(Scheduler):
 
 class TestViewDelta:
     def test_incremental_engine_reuses_one_view_with_deltas(self):
-        engine = Engine(big_switch(4, 4.0), _ViewProbe(), incremental=True)
+        engine = Engine(big_switch(4, 4.0), _ViewProbe())
         flows = [_flow(f"h{i}", f"h{(i + 1) % 4}", float(i + 1)) for i in range(3)]
         for i, flow in enumerate(flows):
             engine.inject_background_flow(flow, at_time=0.1 * i)
@@ -339,18 +334,8 @@ class TestViewDelta:
         first_injected = probe.deltas[0][0]
         assert flows[0].flow_id in first_injected
 
-    def test_legacy_engine_builds_fresh_views(self):
-        engine = Engine(big_switch(4, 4.0), _ViewProbe(), incremental=False)
-        for i in range(3):
-            engine.inject_background_flow(
-                _flow(f"h{i}", f"h{i + 1}", float(i + 1)), at_time=0.1 * i
-            )
-        engine.run()
-        probe = engine.scheduler
-        assert len(set(map(id, probe.views))) == len(probe.views)
-
     def test_direct_view_construction_has_empty_delta(self):
-        net = _network(two_hosts(1.0), incremental=True)
+        net = _network(two_hosts(1.0))
         view = SchedulerView(now=0.0, network=net)
         assert view.injected_flows == ()
         assert view.departed_flows == ()
@@ -362,11 +347,8 @@ class TestViewDelta:
 
 
 class TestUndatedIndex:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_late_head_dates_earlier_members(self, incremental):
-        engine = Engine(
-            big_switch(4, 10.0), FairSharingScheduler(), incremental=incremental
-        )
+    def test_late_head_dates_earlier_members(self):
+        engine = Engine(big_switch(4, 10.0), FairSharingScheduler())
         group = EchelonFlow("ef", CoflowArrangement())
         engine.register_echelonflow(group)
         followers = [
@@ -383,10 +365,9 @@ class TestUndatedIndex:
             if s.ideal_finish_time is None
         ]
         assert len(undated) == 2
-        if incremental:
-            assert [s.flow.flow_id for s in engine._undated["ef"]] == [
-                f.flow_id for f in followers
-            ]
+        assert [s.flow.flow_id for s in engine._undated["ef"]] == [
+            f.flow_id for f in followers
+        ]
 
         # The head pins the reference; everyone gets dated, index drained.
         engine._inject_flow(head, owner=None)
@@ -395,9 +376,7 @@ class TestUndatedIndex:
         assert "ef" not in engine._undated
 
     def test_undated_flow_that_finishes_leaves_the_index(self):
-        engine = Engine(
-            big_switch(4, 10.0), FairSharingScheduler(), incremental=True
-        )
+        engine = Engine(big_switch(4, 10.0), FairSharingScheduler())
         engine.register_echelonflow(EchelonFlow("ef", CoflowArrangement()))
         follower = _flow("h0", "h1", 1.0, group_id="ef", index_in_group=1)
         engine.inject_background_flow(follower, at_time=0.0)
@@ -441,7 +420,7 @@ class TestTraceJobIndex:
 
 class TestFairshareFastPath:
     def test_unweighted_fast_path_matches_weighted_route(self):
-        net = _network(big_switch(4, 10.0), incremental=True)
+        net = _network(big_switch(4, 10.0))
         for i in range(6):
             net.inject(_flow(f"h{i % 4}", f"h{(i + 1) % 4}", 10.0, job_id="j"), 0.0)
         view = SchedulerView(now=0.0, network=net)
@@ -450,7 +429,7 @@ class TestFairshareFastPath:
         assert fast == slow
 
     def test_cached_demands_are_reused(self):
-        net = _network(two_hosts(1.0), incremental=True)
+        net = _network(two_hosts(1.0))
         flow = _flow("h0", "h1", 10.0)
         net.inject(flow, 0.0)
         assert net.demand(flow.flow_id) is net.demand(flow.flow_id)

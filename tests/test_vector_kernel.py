@@ -2,7 +2,7 @@
 
 The bit-identity battery lives in ``test_check_allocation_properties.py``;
 this module covers the machinery around the kernels: incidence interning,
-the Mapping facade, demand-set dispatch, the network's vector modes, the
+the Mapping facade, demand-set dispatch, the ``allocation`` choices, the
 bulk ``set_rates`` fast path and its guard rails, and the graceful
 scalar fallback when numpy is absent.
 """
@@ -19,6 +19,8 @@ from repro.simulator.allocation import (
     feasible,
     max_min_fair,
 )
+from repro.scheduling import FairSharingScheduler
+from repro.simulator import Engine
 from repro.simulator.network import CapacityViolation, NetworkModel
 from repro.simulator.vector import (
     DenseIncidence,
@@ -37,14 +39,10 @@ def _links(n, capacity=10.0):
     return [Link(f"a{i}", f"b{i}", capacity) for i in range(n)]
 
 
-def _network(n_hosts=4, bw=10.0, strict=True, vector="off", incremental=True):
+def _network(n_hosts=4, bw=10.0, strict=True, allocation="scalar"):
     topo = big_switch(n_hosts, bw)
     return NetworkModel(
-        topo,
-        ShortestPathRouter(topo),
-        strict=strict,
-        incremental=incremental,
-        vector=vector,
+        topo, ShortestPathRouter(topo), strict=strict, allocation=allocation
     )
 
 
@@ -172,30 +170,56 @@ def test_dispatch_falls_back_to_scalar_without_numpy(monkeypatch):
 def test_vector_on_requires_numpy(monkeypatch):
     monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
     with pytest.raises(RuntimeError, match="numpy"):
-        _network(vector="on")
+        _network(allocation="vector")
+    with pytest.raises(RuntimeError, match="numpy"):
+        Engine(big_switch(2, 1.0), FairSharingScheduler(), allocation="vector")
     # auto mode degrades silently instead of raising.
-    net = _network(vector="auto")
+    net = _network(allocation="auto")
     assert net.demands().use_vector is False
 
 
-def test_invalid_vector_mode_rejected():
-    with pytest.raises(ValueError, match="vector"):
-        _network(vector="sideways")
+def test_invalid_allocation_rejected():
+    # One vocabulary: no aliases for the retired mode spellings.
+    retired = ("reference", "incremental", "on", "off", None, True, False)
+    for allocation in ("sideways",) + retired:
+        with pytest.raises(ValueError, match="allocation"):
+            _network(allocation=allocation)
+        with pytest.raises(ValueError, match="allocation"):
+            Engine(big_switch(2, 1.0), FairSharingScheduler(), allocation=allocation)
 
 
-# --------------------------------------------------- network vector modes
+# ------------------------------------------------ network allocation choices
 
 
-def test_network_vector_mode_controls_demand_hint():
-    assert _network(vector="off").demands().use_vector is False
-    assert _network(vector="on").demands().use_vector is True
-    assert _network(vector=True).vector_mode == "on"
-    assert _network(vector=False).vector_mode == "off"
+def test_network_allocation_controls_demand_hint():
+    assert _network(allocation="scalar").demands().use_vector is False
+    assert _network(allocation="vector").demands().use_vector is True
+    # "auto" is the default on both the network and the engine.
+    topo = big_switch(4, 10.0)
+    assert NetworkModel(topo, ShortestPathRouter(topo)).allocation == "auto"
+    engine = Engine(topo, FairSharingScheduler())
+    assert engine.network.allocation == "auto"
+    # Forks keep the choice.
+    assert _network(allocation="vector").fork().allocation == "vector"
+
+
+@pytest.mark.parametrize("allocation", ["auto", "scalar", "vector"])
+def test_engine_runs_under_every_allocation(allocation):
+    engine = Engine(
+        big_switch(4, 10.0), FairSharingScheduler(), allocation=allocation
+    )
+    for i in range(6):
+        engine.inject_background_flow(
+            Flow(f"h{i % 4}", f"h{(i + 1) % 4}", 5.0 + i), at_time=0.0
+        )
+    trace = engine.run()
+    assert engine.network.allocation == allocation
+    assert len(trace.flow_records) == 6
 
 
 def test_auto_mode_switches_at_threshold(monkeypatch):
     monkeypatch.setattr(vector_mod, "VECTOR_AUTO_THRESHOLD", 3)
-    net = _network(vector="auto", bw=100.0)
+    net = _network(allocation="auto", bw=100.0)
     flows = [Flow("h0", "h1", 10.0) for _ in range(3)]
     net.inject(flows[0], 0.0)
     net.inject(flows[1], 0.0)
@@ -205,7 +229,7 @@ def test_auto_mode_switches_at_threshold(monkeypatch):
 
 
 def test_demand_cache_invalidated_by_structural_changes():
-    net = _network(vector="on", bw=100.0)
+    net = _network(allocation="vector", bw=100.0)
     f1, f2 = Flow("h0", "h1", 10.0), Flow("h0", "h2", 10.0)
     net.inject(f1, 0.0)
     first = net.demands()
@@ -220,7 +244,7 @@ def test_demand_cache_invalidated_by_structural_changes():
 
 
 def _vector_net_with_flows(n=3, bw=9.0, strict=True):
-    net = _network(bw=bw, strict=strict, vector="on")
+    net = _network(bw=bw, strict=strict, allocation="vector")
     flows = [Flow("h0", f"h{1 + i % 3}", 100.0) for i in range(n)]
     for f in flows:
         net.inject(f, 0.0)
