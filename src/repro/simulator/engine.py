@@ -565,8 +565,12 @@ class Engine:
                     )
                 break
             if next_time > until:
-                self.network.advance(until - self.now, self.now)
+                # Flows can cross their finish threshold short of their
+                # projected finish; those retire at the pause instant.
+                finished_flows = self.network.advance(until - self.now, self.now)
                 self.now = until
+                for state in finished_flows:
+                    self._on_flow_finished(state)
                 paused = True
                 break
 

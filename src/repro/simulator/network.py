@@ -32,7 +32,14 @@ The hot path is O(changed flows) per event, not O(active flows):
   observer's sampling hook) is a read of maintained state.
 * **Dirty-set rates.** ``set_rates`` applies only rates that actually
   changed; unchanged flows keep their anchors, heap entries, and link
-  contributions untouched.
+  contributions untouched. A vector allocation is applied in bulk:
+  change detection, heap keys and accounting deltas are array
+  operations, and a reused solve on the incidence last applied is
+  recognized without reading any flow's old rate.
+* **Lazy retirement order.** Retiring a flow leaves its id in the
+  fid-ordered active list; the next ordered read (``sync_active`` in
+  the scheduler view's refresh, before the scheduler runs) compacts the
+  list in one pass, so a departure costs O(1) list work.
 
 The finish heap and the residual accounting are audited from outside:
 the ``repro.check`` sanitizer compares :meth:`earliest_finish_interval`
@@ -63,9 +70,16 @@ _HEAP_SLACK = 1e-9
 _HEAP_COMPACT_FACTOR = 4
 _HEAP_COMPACT_MIN = 64
 
+_INF = float("inf")
+
 
 class CapacityViolation(Exception):
     """The scheduler proposed rates exceeding a link capacity."""
+
+
+def _bad_rate_message(flow_id: int, rate: float) -> str:
+    kind = "negative" if rate < 0.0 else "non-finite"
+    return f"{kind} rate for flow {flow_id}: {rate!r}"
 
 
 #: Process-global source of capacity-mutation tokens. Each runtime
@@ -148,8 +162,21 @@ class NetworkModel:
         #: lets back-to-back scheduler reads in one round skip the scan.
         self._synced_at = float("-inf")
         #: Active flow ids in ascending order (the canonical iteration
-        #: order everywhere a scan used to call ``sorted``).
+        #: order everywhere a scan used to call ``sorted``). Retirement
+        #: leaves ids behind and sets ``_order_stale``; read it through
+        #: :meth:`_live_order`, which drops them.
         self._order: List[int] = []
+        self._order_stale = False
+        #: Active flow id -> its finish threshold (``Flow.finish_epsilon``),
+        #: computed once at inject time.
+        self._threshold: Dict[int, float] = {}
+        #: Bumped whenever a flow's rate is stored outside the bulk path;
+        #: with the incidence, it tells the bulk path that the array it
+        #: applied last still holds every flow's rate.
+        self._rates_rev = 0
+        #: (incidence, ``_rates_rev``, rate array) of the last bulk
+        #: application; see :meth:`_set_rates_bulk`.
+        self._applied: Optional[Tuple[object, int, object]] = None
         #: Active flow id -> unit-weight FlowDemand built once at inject time.
         self._demands: Dict[int, FlowDemand] = {}
         #: Structural revision of the active flow set: bumped on every
@@ -173,8 +200,8 @@ class NetworkModel:
         #: an outdated token and are dropped when popped.
         self._finish_heap: List[Tuple[float, int, int]] = []
         #: Active flow id -> its current heap token. Retirement drops the
-        #: entry; a retired flow's leftover heap entries are discarded by
-        #: the ``flow_id not in active`` check wherever entries are popped.
+        #: entry, so an entry is live iff its token is its flow's token
+        #: here: a retired flow's leftovers never match.
         self._heap_token: Dict[int, int] = {}
         #: EchelonFlow buckets: group id -> (sorted fid list, state list).
         self._group_fids: Dict[Optional[str], List[int]] = {}
@@ -244,8 +271,10 @@ class NetworkModel:
         twin.bytes_delivered = self.bytes_delivered
         twin._now = self._now
         twin._synced_at = self._synced_at
-        twin._order = list(self._order)
+        order = self._live_order()
+        twin._order = list(order)
         twin._anchor = dict(self._anchor)
+        twin._threshold = dict(self._threshold)
         #: Retired states are immutable from retirement on; share them.
         twin._completed = dict(self._completed)
         twin._active = {
@@ -263,7 +292,7 @@ class NetworkModel:
         paths = self._paths
         twin._paths = dict(paths)
         twin._demands = {}
-        for fid in self._order:
+        for fid in order:
             path = tuple(translate(*link.key) for link in paths[fid])
             twin._paths[fid] = path
             twin._demands[fid] = FlowDemand(flow_id=fid, path=path)
@@ -308,6 +337,7 @@ class NetworkModel:
         self._paths[flow_id] = path
         self._demands[flow_id] = FlowDemand(flow_id=flow_id, path=path)
         self._anchor[flow_id] = now
+        self._threshold[flow_id] = flow.finish_epsilon
         if now > self._now:
             self._now = now
         insort(self._order, flow_id)
@@ -320,26 +350,37 @@ class NetworkModel:
     def _retire(self, state: FlowState, finish_time: float) -> None:
         """Move a drained flow from the active set to the completed set.
 
-        Everything only live flows need (demand, heap token, link
-        columns, drain anchor) is dropped; only the pinned path stays,
-        for :meth:`path`. A fork never touches the flow again.
+        Everything only live flows need (demand, heap token, threshold,
+        link columns, drain anchor) is dropped; only the pinned path
+        stays, for :meth:`path`. The id stays in ``_order`` until the
+        next ordered read compacts it. A fork never touches the flow
+        again.
         """
         flow_id = state.flow.flow_id
         old_rate = state.rate
         state.finish_time = finish_time
         state.rate = 0.0
+        self._rates_rev += 1
         self.accounting.unwatch(flow_id, self._paths[flow_id], old_rate)
         self._columns.pop(flow_id, None)
         self._link_keys.pop(flow_id, None)
         del self._demands[flow_id]
-        self._heap_token.pop(flow_id, None)
+        del self._heap_token[flow_id]
+        del self._threshold[flow_id]
         self._demands_rev += 1
         del self._active[flow_id]
         del self._anchor[flow_id]
-        index = bisect_left(self._order, flow_id)
-        del self._order[index]
+        self._order_stale = True
         self._bucket_remove(state.flow.group_id, flow_id)
         self._completed[flow_id] = state
+
+    def _live_order(self) -> List[int]:
+        """Active flow ids in ascending order, retired ids compacted out."""
+        if self._order_stale:
+            active = self._active
+            self._order = [fid for fid in self._order if fid in active]
+            self._order_stale = False
+        return self._order
 
     # -- group buckets --------------------------------------------------
 
@@ -415,16 +456,38 @@ class NetworkModel:
         self._anchor[flow_id] = t
 
     def sync_active(self, t: Optional[float] = None) -> None:
-        """Materialize every active flow's ``remaining`` (scheduler reads)."""
+        """Materialize every active flow's ``remaining`` (scheduler reads).
+
+        One pass in fid order with :meth:`_sync_flow`'s arithmetic,
+        inlined; ``bytes_delivered`` accumulates in the same order. Also
+        compacts the active order, even when nothing drains.
+        """
         if t is None:
             t = self._now
         elif t > self._now:
             self._now = t
+        order = self._live_order()
         if t <= self._synced_at:
             # Every anchor is already at or past t: nothing would drain.
             return
-        for flow_id in self._order:
-            self._sync_flow(flow_id, t)
+        active = self._active
+        anchors = self._anchor
+        delivered = self.bytes_delivered
+        for flow_id in order:
+            anchor = anchors[flow_id]
+            if t <= anchor:
+                continue
+            state = active[flow_id]
+            rate = state.rate
+            if rate > 0.0:
+                before = state.remaining
+                after = before - rate * (t - anchor)
+                if after < 0.0:
+                    after = 0.0
+                state.remaining = after
+                delivered += before - after
+            anchors[flow_id] = t
+        self.bytes_delivered = delivered
         self._synced_at = t
 
     def _projected_remaining(self, state: FlowState, anchor: float, t: float) -> float:
@@ -435,16 +498,13 @@ class NetworkModel:
         after = state.remaining - rate * (t - anchor)
         return after if after > 0.0 else 0.0
 
-    def _finish_threshold(self, flow: Flow) -> float:
-        return flow.finish_epsilon
-
     def _time_to_finish(self, state: FlowState, anchor: float) -> float:
         """Interval until the flow drains to zero at its current rate."""
         remaining = self._projected_remaining(state, anchor, self._now)
-        if remaining <= self._finish_threshold(state.flow):
+        if remaining <= self._threshold[state.flow.flow_id]:
             return 0.0
         if state.rate <= EPS:
-            return float("inf")
+            return _INF
         return remaining / state.rate
 
     def time_to_finish(self, flow_id: int) -> float:
@@ -469,7 +529,7 @@ class NetworkModel:
         token = self._heap_token.get(flow_id, 0) + 1
         self._heap_token[flow_id] = token
         anchor = self._anchor[flow_id]
-        slack = state.remaining - self._finish_threshold(state.flow)
+        slack = state.remaining - self._threshold[flow_id]
         if state.rate > EPS:
             key = anchor + slack / state.rate
         elif slack <= 0.0:
@@ -485,31 +545,15 @@ class NetworkModel:
             self._compact_heap()
 
     def _compact_heap(self) -> None:
+        """Drop stale entries. An entry is live iff its token is its
+        flow's current one; retirement deletes the flow's token."""
         tokens = self._heap_token
-        active = self._active
         self._finish_heap = [
             entry
             for entry in self._finish_heap
-            if entry[1] in active and tokens.get(entry[1]) == entry[2]
+            if tokens.get(entry[1]) == entry[2]
         ]
         heapq.heapify(self._finish_heap)
-
-    def _pop_candidates(self, horizon: float) -> List[Tuple[float, int, int]]:
-        """Pop live heap entries keyed at or before ``horizon`` (+slack)."""
-        heap = self._finish_heap
-        tokens = self._heap_token
-        active = self._active
-        bound = horizon + _HEAP_SLACK * max(1.0, abs(horizon))
-        candidates: List[Tuple[float, int, int]] = []
-        while heap:
-            key, flow_id, token = heap[0]
-            if flow_id not in active or tokens.get(flow_id) != token:
-                heapq.heappop(heap)
-                continue
-            if key > bound:
-                break
-            candidates.append(heapq.heappop(heap))
-        return candidates
 
     # ------------------------------------------------------------------
     # read API
@@ -519,7 +563,7 @@ class NetworkModel:
         """Unfinished flows, sorted by flow id for determinism."""
         self.sync_active()
         active = self._active
-        return [active[fid] for fid in self._order]
+        return [active[fid] for fid in self._live_order()]
 
     def iter_active(self) -> Iterator[FlowState]:
         """Iterate active states (fid order) without materializing drains.
@@ -529,7 +573,7 @@ class NetworkModel:
         :meth:`state` so lazily-drained bytes are materialized first.
         """
         active = self._active
-        return (active[fid] for fid in self._order)
+        return (active[fid] for fid in self._live_order())
 
     def state(self, flow_id: int) -> FlowState:
         if flow_id in self._active:
@@ -610,7 +654,7 @@ class NetworkModel:
         demands = self._demands
         use_vector = self._vector_active()
         demand_set = DemandSet(
-            (demands[fid] for fid in self._order),
+            (demands[fid] for fid in self._live_order()),
             use_vector=use_vector,
             base=cache[1].latest_incidence() if use_vector and cache else None,
         )
@@ -652,8 +696,8 @@ class NetworkModel:
         changed: List[Tuple[int, FlowState, float]] = []
         for flow_id, state in self._active.items():
             rate = rates.get(flow_id, 0.0)
-            if rate < 0:
-                raise ValueError(f"negative rate for flow {flow_id}: {rate}")
+            if not 0.0 <= rate < _INF:
+                raise ValueError(_bad_rate_message(flow_id, rate))
             if rate != state.rate:
                 changed.append((flow_id, state, rate))
 
@@ -670,6 +714,9 @@ class NetworkModel:
                 if clean[fid] != state.rate
             ]
 
+        if not changed:
+            return
+        self._rates_rev += 1
         apply_delta = self.accounting.apply
         for flow_id, state, rate in changed:
             self._sync_flow(flow_id, self._now)
@@ -677,7 +724,7 @@ class NetworkModel:
             state.rate = rate
             apply_delta(self._paths[flow_id], old, rate)
             self._push_finish(flow_id, state)
-        if self.observer is not None and changed:
+        if self.observer is not None:
             self.observer.on_rates_applied(self._now, changed)
 
     def _set_rates_bulk(self, rates) -> bool:
@@ -688,13 +735,20 @@ class NetworkModel:
         incidence is still the one cached for the current structural
         revision -- which guarantees row ``i`` is the ``i``-th active
         flow in fid order. Change detection, the delta feasibility gate,
-        and the per-link residual-accounting aggregates become array
-        reductions; the remaining python loop touches only changed flows
-        and performs the same per-flow mutations as the scalar path
-        (sync, rate store as a python float, heap token bump). Heap
-        entries are batch-appended and re-heapified once -- heap pops
-        follow the total (key, fid, token) order, so internal layout
-        differences never change what is popped.
+        the finish-heap keys and the per-link residual-accounting
+        aggregates are array operations; the per-flow state mutations
+        are the scalar path's (sync, rate store as a python float, heap
+        token bump, key ``anchor + (remaining - threshold) / rate`` --
+        the same IEEE operations elementwise, so the same bits).
+
+        The old rates come from the array this path applied last when
+        the allocation's incidence is that one's and no rate was stored
+        elsewhere since (``_rates_rev``), so a reused solve costs no
+        per-flow read. A rekey of every live flow replaces the heap
+        instead of extending it; otherwise entries are batch-appended
+        and re-heapified once. Heap pops follow the total (key, fid,
+        token) order, so layout differences never change what is
+        popped.
 
         Infeasible allocations raise in strict mode exactly like the
         scalar path; in lenient mode the method backs off (returns
@@ -714,22 +768,35 @@ class NetworkModel:
         import numpy as np
 
         inc = rates.incidence
-        order = self._order
+        order = self._live_order()
         new = rates.array
         if inc.n_flows != len(order):
             return False
-        if (new < 0.0).any():
-            row = int(np.nonzero(new < 0.0)[0][0])
+        bad = ~((new >= 0.0) & (new < _INF))
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
             raise ValueError(
-                f"negative rate for flow {int(inc.fids[row])}: {new[row]!r}"
+                _bad_rate_message(int(inc.fids[row]), float(new[row]))
             )
         active = self._active
-        states = [active[fid] for fid in order]
-        old = np.fromiter(
-            (state.rate for state in states), dtype=np.float64, count=len(states)
-        )
+        applied = self._applied
+        states: Optional[List[FlowState]] = None
+        if (
+            applied is not None
+            and applied[0] is inc
+            and applied[1] == self._rates_rev
+        ):
+            old = applied[2]
+        else:
+            states = [active[fid] for fid in order]
+            old = np.fromiter(
+                (state.rate for state in states),
+                dtype=np.float64,
+                count=len(states),
+            )
         changed_mask = new != old
         if not changed_mask.any():
+            self._applied = (inc, self._rates_rev, old)
             return True
         delta = new - old
         links = inc.links
@@ -761,39 +828,68 @@ class NetworkModel:
                     )
                 return False
 
+        rows = np.flatnonzero(changed_mask)
+        count = len(rows)
+        rekey_all = count == len(order)
+        if rekey_all:
+            fids = order
+            if states is None:
+                states = [active[fid] for fid in order]
+            changed_states = states
+            rate_arr = new
+        else:
+            row_list = rows.tolist()
+            fids = [order[i] for i in row_list]
+            if states is None:
+                changed_states = [active[fid] for fid in fids]
+            else:
+                changed_states = [states[i] for i in row_list]
+            rate_arr = new[rows]
         now = self._now
-        need_sync = self._synced_at < now
-        tokens = self._heap_token
-        anchors = self._anchor
-        observer = self.observer
-        changed_records: Optional[List[Tuple[int, FlowState, float]]] = (
-            [] if observer is not None else None
-        )
-        new_list = new.tolist()
-        entries: List[Tuple[float, int, int]] = []
-        for i in np.nonzero(changed_mask)[0].tolist():
-            fid = order[i]
-            state = states[i]
-            if need_sync:
-                self._sync_flow(fid, now)
-            rate = new_list[i]
+        if self._synced_at < now:
+            sync = self._sync_flow
+            for fid in fids:
+                sync(fid, now)
+        rate_list = rate_arr.tolist()
+        for state, rate in zip(changed_states, rate_list):
             state.rate = rate
-            token = tokens.get(fid, 0) + 1
-            tokens[fid] = token
-            slack = state.remaining - state.flow.finish_epsilon
-            if rate > EPS:
-                entries.append((anchors[fid] + slack / rate, fid, token))
-            elif slack <= 0.0:
-                entries.append((anchors[fid], fid, token))
-            if changed_records is not None:
-                changed_records.append((fid, state, rate))
-        heap = self._finish_heap
-        heap.extend(entries)
-        heapq.heapify(heap)
-        if len(heap) > max(
-            _HEAP_COMPACT_MIN, _HEAP_COMPACT_FACTOR * len(active)
-        ):
-            self._compact_heap()
+        tokens = self._heap_token
+        token_of = tokens.get
+        new_tokens = [token_of(fid, 0) + 1 for fid in fids]
+        tokens.update(zip(fids, new_tokens))
+        anchor_arr = np.fromiter(
+            map(self._anchor.__getitem__, fids), dtype=np.float64, count=count
+        )
+        slack = np.fromiter(
+            (state.remaining for state in changed_states),
+            dtype=np.float64,
+            count=count,
+        ) - np.fromiter(
+            map(self._threshold.__getitem__, fids), dtype=np.float64, count=count
+        )
+        moving = rate_arr > EPS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            keys = np.where(moving, anchor_arr + slack / rate_arr, anchor_arr)
+        keyed = moving | (slack <= 0.0)
+        if keyed.all():
+            entries = list(zip(keys.tolist(), fids, new_tokens))
+        else:
+            key_list = keys.tolist()
+            entries = [
+                (key_list[i], fids[i], new_tokens[i])
+                for i in np.flatnonzero(keyed).tolist()
+            ]
+        if rekey_all:
+            heapq.heapify(entries)
+            self._finish_heap = entries
+        else:
+            heap = self._finish_heap
+            heap.extend(entries)
+            heapq.heapify(heap)
+            if len(heap) > max(
+                _HEAP_COMPACT_MIN, _HEAP_COMPACT_FACTOR * len(active)
+            ):
+                self._compact_heap()
 
         step = (new > 0.0).astype(np.float64) - (old > 0.0).astype(np.float64)
         nz_delta = np.bincount(
@@ -811,8 +907,12 @@ class NetworkModel:
             if moved_count:
                 nz_steps[link.key] = int(moved_count)
         self.accounting.apply_bulk(link_deltas, nz_steps)
-        if changed_records:
-            observer.on_rates_applied(now, changed_records)
+        # A private copy: the caller keeps the allocation's array.
+        self._applied = (inc, self._rates_rev, new.copy())
+        if self.observer is not None:
+            self.observer.on_rates_applied(
+                now, list(zip(fids, changed_states, rate_list))
+            )
         return True
 
     def _feasible_changed(
@@ -839,7 +939,7 @@ class NetworkModel:
         changed: List[Tuple[int, FlowState, float]] = []
         for flow_id, state in self._active.items():
             rate = rates.get(flow_id, 0.0)
-            if rate < 0:
+            if not 0.0 <= rate < _INF:
                 return False
             if rate != state.rate:
                 changed.append((flow_id, state, rate))
@@ -930,6 +1030,7 @@ class NetworkModel:
                 old = state.rate
                 new = old * ratio
                 state.rate = new
+                self._rates_rev += 1
                 self.accounting.apply(self._paths[flow_id], old, new)
                 self._push_finish(flow_id, state)
                 changed.append((flow_id, state, new))
@@ -975,6 +1076,7 @@ class NetworkModel:
             old_rate = state.rate
             self.accounting.unwatch(flow_id, old_path, old_rate)
             state.rate = 0.0
+            self._rates_rev += 1
             self._paths[flow_id] = new_path
             self._columns.pop(flow_id, None)
             self._link_keys.pop(flow_id, None)
@@ -1004,7 +1106,7 @@ class NetworkModel:
         expected_loads: Dict[Tuple[str, str], float] = {}
         expected_nonzero: Dict[Tuple[str, str], int] = {}
         expected_flows: Dict[Tuple[str, str], set] = {}
-        for flow_id in self._order:
+        for flow_id in self._live_order():
             rate = self._active[flow_id].rate
             for link in self._paths[flow_id]:
                 key = link.key
@@ -1071,20 +1173,40 @@ class NetworkModel:
         return self.accounting.usage()
 
     def earliest_finish_interval(self) -> float:
-        """Time until the first active flow completes at current rates."""
-        active = self._active
-        anchors = self._anchor
+        """Time until the first active flow completes at current rates.
+
+        Pops live heap candidates up to the best interval found (plus
+        slack), re-checking each with the exact per-flow arithmetic, and
+        pushes them back. When the top entry is live and both its
+        children are live and keyed past that bound, nothing below them
+        can be a candidate either, so the top's interval is returned
+        without the pop/push round trip.
+        """
         heap = self._finish_heap
         tokens = self._heap_token
-        best = float("inf")
+        active = self._active
+        anchors = self._anchor
+        now = self._now
+        if heap:
+            _key, flow_id, token = heap[0]
+            if tokens.get(flow_id) == token:
+                best = self._time_to_finish(active[flow_id], anchors[flow_id])
+                if best != _INF:
+                    bound = now + best + _HEAP_SLACK * max(1.0, abs(now) + best)
+                    for child in heap[1:3]:
+                        if tokens.get(child[1]) != child[2] or child[0] <= bound:
+                            break
+                    else:
+                        return best
+        best = _INF
         popped: List[Tuple[float, int, int]] = []
         while heap:
             key, flow_id, token = heap[0]
-            if flow_id not in active or tokens.get(flow_id) != token:
+            if tokens.get(flow_id) != token:
                 heapq.heappop(heap)
                 continue
-            if key > self._now + best + _HEAP_SLACK * max(
-                1.0, abs(self._now) + (best if best != float("inf") else 0.0)
+            if key > now + best + _HEAP_SLACK * max(
+                1.0, abs(now) + (best if best != _INF else 0.0)
             ):
                 break
             popped.append(heapq.heappop(heap))
@@ -1101,35 +1223,46 @@ class NetworkModel:
         Returns the newly-finished flow states (sorted by flow id); their
         ``finish_time`` is stamped ``now + dt``. Unfinished flows are not
         touched -- they drain lazily and materialize on the next read.
+        Candidates are the live heap entries keyed at or before the new
+        time (plus slack), each re-checked with the exact per-flow
+        arithmetic of :meth:`projected_remaining`.
         """
         if dt < -EPS:
             raise ValueError(f"cannot advance time by {dt}")
-        dt = max(0.0, dt)
+        if dt < 0.0:
+            dt = 0.0
         if self.observer is not None and dt > 0.0 and self._active:
             self.observer.on_network_advance(now, dt, self.link_usage())
         finish_time = now + dt
         if finish_time < self._now:
             finish_time = self._now
+        self._now = finish_time
+        heap = self._finish_heap
+        tokens = self._heap_token
+        bound = finish_time + _HEAP_SLACK * max(1.0, abs(finish_time))
         finished: List[FlowState] = []
-        active = self._active
-        anchors = self._anchor
-
         repush: List[Tuple[float, int, int]] = []
-        for entry in self._pop_candidates(finish_time):
+        while heap:
+            entry = heap[0]
             flow_id = entry[1]
-            state = active[flow_id]
+            if tokens.get(flow_id) != entry[2]:
+                heapq.heappop(heap)
+                continue
+            if entry[0] > bound:
+                break
+            heapq.heappop(heap)
+            state = self._active[flow_id]
             remaining = self._projected_remaining(
-                state, anchors[flow_id], finish_time
+                state, self._anchor[flow_id], finish_time
             )
-            if remaining <= self._finish_threshold(state.flow):
+            if remaining <= self._threshold[flow_id]:
                 finished.append(state)
             else:
                 repush.append(entry)
         for entry in repush:
-            heapq.heappush(self._finish_heap, entry)
-
-        self._now = finish_time
-        finished.sort(key=lambda s: s.flow.flow_id)
+            heapq.heappush(heap, entry)
+        if len(finished) > 1:
+            finished.sort(key=lambda s: s.flow.flow_id)
         for state in finished:
             self._sync_flow(state.flow.flow_id, finish_time)
             self._retire(state, finish_time)

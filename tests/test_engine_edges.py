@@ -129,3 +129,55 @@ def test_trace_task_completion_lookup():
     assert trace.task_completion("c") == pytest.approx(1.0)
     with pytest.raises(KeyError):
         trace.task_completion("ghost")
+
+
+class _NanScheduler(FairSharingScheduler):
+    """Fair sharing that hands one flow a NaN rate."""
+
+    name = "nan-test"
+
+    def allocate(self, view):
+        rates = dict(super().allocate(view))
+        rates[min(rates)] = float("nan")
+        return rates
+
+
+def _nan_engine(scheduler):
+    engine = Engine(big_switch(4, 10.0), scheduler, sanitizer=False)
+    for i in range(4):
+        engine.inject_background_flow(
+            Flow(f"h{i}", f"h{(i + 1) % 4}", 100.0 * (i + 1)), at_time=0.0
+        )
+    return engine
+
+
+def test_nan_rate_fails_the_run_even_without_the_sanitizer():
+    with pytest.raises(ValueError, match="non-finite rate"):
+        _nan_engine(_NanScheduler()).run()
+
+
+def test_resilient_scheduler_replaces_a_nan_allocation():
+    from repro.faults import ResilientScheduler
+
+    resilient = ResilientScheduler(_NanScheduler())
+    trace = _nan_engine(resilient).run()
+    assert resilient.fallback_invocations > 0
+    assert {r["kind"] for r in resilient.fallback_records} == {"infeasible"}
+    fair = _nan_engine(FairSharingScheduler()).run()
+    assert trace.end_time == fair.end_time
+
+
+def test_pause_records_flows_that_reach_their_threshold_at_until():
+    # 1e9 B at 1e9 B/s projects a finish at 1.0, but the remaining half
+    # byte at the pause is already under the flow's 1 B threshold.
+    engine = Engine(big_switch(2, 1e9), FairSharingScheduler(), sanitizer="strict")
+    flow = Flow("h0", "h1", 1e9)
+    engine.inject_background_flow(flow, at_time=0.0)
+    until = 1 - 0.5e-9
+    engine.run(until=until)
+    [record] = engine.trace.flow_records
+    assert record.flow.flow_id == flow.flow_id
+    assert record.finish == until
+    trace = engine.run()
+    assert len(trace.flow_records) == 1
+    assert engine.network.active_count == 0

@@ -157,6 +157,20 @@ class TestSetRates:
         with pytest.raises(ValueError):
             net.set_rates({flow.flow_id: -1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_rejected(self, bad):
+        net = _network(big_switch(4, 10.0), strict=True)
+        flows = [_flow(f"h{i}", f"h{(i + 1) % 4}", 10.0) for i in range(4)]
+        for flow in flows:
+            net.inject(flow, 0.0)
+        rates = {flow.flow_id: 1.0 for flow in flows}
+        rates[flows[2].flow_id] = bad
+        assert net.validate_rates(rates) is False
+        with pytest.raises(ValueError, match="rate for flow"):
+            net.set_rates(rates)
+        assert all(state.rate == 0.0 for state in net.iter_active())
+        assert all(load == 0.0 for load in net.accounting.loads.values())
+
     @pytest.mark.parametrize("vector", [True, False])
     def test_strict_violation_mutates_nothing(self, vector):
         net = _network(two_hosts(1.0), vector, strict=True)
@@ -170,6 +184,28 @@ class TestSetRates:
         assert net.state(a.flow_id).rate == 0.5
         assert net.state(b.flow_id).rate == 0.25
         assert net.earliest_finish_interval() == pytest.approx(20.0)
+
+    def test_finish_query_sees_a_candidate_below_the_second_child(self):
+        # Keys are threshold crossings and the threshold has an absolute
+        # floor, so a small flow can key first yet finish last. Here the
+        # heap is [small, slow, fast]: the answer sits under the second
+        # child, past a first child keyed beyond the bound.
+        net = _network(big_switch(6, 10.0))
+        small = _flow("h0", "h1", 1e-3)
+        slow = _flow("h2", "h3", 5.0)
+        fast = _flow("h4", "h5", 1.0)
+        for flow in (small, slow, fast):
+            net.inject(flow, 0.0)
+        net.set_rates(
+            {small.flow_id: 1e-3, slow.flow_id: 1.0, fast.flow_id: 1.0 / (1 - 5e-7)}
+        )
+        assert [entry[1] for entry in net._finish_heap] == [
+            small.flow_id,
+            slow.flow_id,
+            fast.flow_id,
+        ]
+        assert net.time_to_finish(small.flow_id) > net.time_to_finish(fast.flow_id)
+        assert net.earliest_finish_interval() == net.time_to_finish(fast.flow_id)
 
     def test_unchanged_rates_do_not_grow_the_heap(self):
         net = _network(two_hosts(1.0))
@@ -259,6 +295,129 @@ class TestTwinNetworkFuzz:
                 expected_buckets.items(), key=lambda kv: (kv[0] is None, kv[0] or "")
             )
         assert retired > 0
+
+
+def _live_entries(net):
+    tokens = net._heap_token
+    return sorted(
+        entry for entry in net._finish_heap if tokens.get(entry[1]) == entry[2]
+    )
+
+
+class TestBulkRatesFuzz:
+    """Vector allocations applied through the bulk path, against a scalar
+    twin that receives the same rates as plain dicts."""
+
+    @pytest.mark.parametrize("seed", [2, 5, 11])
+    def test_bulk_applications_match_a_scalar_twin(self, seed, monkeypatch):
+        np = pytest.importorskip("numpy")
+        from repro.simulator.vector import VectorAllocation
+
+        took_bulk = []
+        bulk = NetworkModel._set_rates_bulk
+
+        def spy(self, rates):
+            took = bulk(self, rates)
+            took_bulk.append(took)
+            return took
+
+        monkeypatch.setattr(NetworkModel, "_set_rates_bulk", spy)
+        net = _network(big_switch(4, 10.0), vector=True)
+        twin = _network(big_switch(4, 10.0))
+        rng = random.Random(seed)
+        # At most 40 live flows at 0.25 each never overload a 10.0 link,
+        # so any mix of old and fresh rates is feasible.
+        limit, share = 40, 0.25
+        now = 0.0
+        kinds = {"full": 0, "partial": 0, "reuse": 0}
+        retired = 0
+        last = None
+
+        for step in range(300):
+            if step == 150:
+                net, twin = net.fork(), twin.fork()
+            op = rng.random()
+            if (op < 0.25 and net.active_count < limit) or not net.active_count:
+                src = rng.randrange(4)
+                dst = (src + rng.randrange(1, 4)) % 4
+                flow = _flow(
+                    f"h{src}",
+                    f"h{dst}",
+                    0.5 + rng.random() * 5.0,
+                    group_id=f"g{rng.randrange(3)}" if rng.random() < 0.5 else None,
+                )
+                net.inject(flow, now)
+                twin.inject(flow, now)
+            elif op < 0.65:
+                incidence = net.demands().incidence()
+                fids = incidence.fids.tolist()
+                current = np.array([net._active[fid].rate for fid in fids])
+                fresh = np.array([rng.random() * share for _ in fids])
+                kind = rng.choice(list(kinds))
+                if kind == "full":
+                    array = fresh
+                elif kind == "partial":
+                    mask = np.array([rng.random() < 0.3 for _ in fids])
+                    array = np.where(mask, fresh, current)
+                elif last is not None and last.incidence is incidence:
+                    array = last.array.copy()
+                else:
+                    array = current
+                last = VectorAllocation(incidence, array)
+                took_bulk.clear()
+                net.set_rates(last)
+                assert took_bulk == [True]
+                kinds[kind] += 1
+                twin.set_rates(dict(zip(fids, array.tolist())))
+                if kind == "full" and (array != current).all():
+                    # A rekey of every live flow leaves no stale entry.
+                    tokens = net._heap_token
+                    assert all(
+                        tokens.get(fid) == token
+                        for _key, fid, token in net._finish_heap
+                    )
+            elif op < 0.7:
+                # A rate stored off the bulk path, on both models.
+                rates = {
+                    s.flow.flow_id: rng.random() * share
+                    for s in net.iter_active()
+                    if rng.random() < 0.5
+                }
+                net.set_rates(rates)
+                twin.set_rates(rates)
+            else:
+                horizon = net.earliest_finish_interval()
+                dt = rng.random() if horizon == float("inf") else horizon * rng.choice(
+                    [0.5, 1.0, 1.0]
+                )
+                expected = scan_finishing(net, now + dt)
+                done = net.advance(dt, now)
+                twin_done = twin.advance(dt, now)
+                now += dt
+                assert [s.flow.flow_id for s in done] == expected
+                assert [s.flow.flow_id for s in twin_done] == expected
+                retired += len(done)
+
+            interval = net.earliest_finish_interval()
+            assert interval == scan_earliest_finish(net)
+            assert interval == twin.earliest_finish_interval()
+            # Bulk keys are the scalar keys, bit for bit.
+            assert _live_entries(net) == _live_entries(twin)
+            assert net.verify_accounting() == []
+            if rng.random() < 0.5:
+                # Materializing reads on some steps only, so the bulk path
+                # also meets flows whose drain is still pending.
+                states = net.active_states()
+                twin_states = twin.active_states()
+                fids = [s.flow.flow_id for s in states]
+                assert fids == sorted(fids)
+                assert fids == [s.flow.flow_id for s in twin_states]
+                assert [(s.remaining, s.rate) for s in states] == [
+                    (s.remaining, s.rate) for s in twin_states
+                ]
+                assert net.bytes_delivered == twin.bytes_delivered
+        assert retired > 0
+        assert all(kinds.values()), kinds
 
 
 # ---------------------------------------------------------------------------

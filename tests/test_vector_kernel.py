@@ -271,6 +271,47 @@ def test_bulk_set_rates_rejects_negative_rates():
         net.set_rates(alloc)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bulk_set_rates_rejects_non_finite_rates(bad):
+    net, flows = _vector_net_with_flows()
+    alloc = max_min_fair(net.demands())
+    alloc.array[1] = bad
+    with pytest.raises(ValueError, match="rate for flow"):
+        net._set_rates_bulk(alloc)  # rejected on the array path itself
+    for f in flows:
+        assert net.state(f.flow_id).rate == 0.0
+    assert all(load == 0.0 for load in net.accounting.loads.values())
+
+
+def test_reused_solve_on_the_applied_incidence_touches_nothing():
+    net, flows = _vector_net_with_flows()
+    first = max_min_fair(net.demands())
+    net.set_rates(first)
+    net.advance(1.0, 0.0)  # drains lazily: no retirement, same incidence
+    heap = net._finish_heap
+    entries = list(heap)
+    tokens = dict(net._heap_token)
+    anchors = dict(net._anchor)
+    again = max_min_fair(net.demands())
+    assert again.incidence is first.incidence
+    assert again.array is not first.array  # a reused solve is a fresh copy
+    net.set_rates(again)
+    assert net._finish_heap is heap and heap == entries
+    assert net._heap_token == tokens
+    assert net._anchor == anchors
+
+
+def test_rates_stored_off_the_bulk_path_are_read_back():
+    net, flows = _vector_net_with_flows()
+    alloc = max_min_fair(net.demands())
+    net.set_rates(alloc)
+    net.set_rates({f.flow_id: 1.0 for f in flows})  # a plain dict: scalar path
+    net.set_rates(max_min_fair(net.demands()))  # the same solve, in bulk
+    for f in flows:
+        assert net.state(f.flow_id).rate == alloc[f.flow_id]
+    assert net.verify_accounting() == []
+
+
 def test_bulk_set_rates_strict_capacity_violation():
     net, flows = _vector_net_with_flows(bw=3.0)
     alloc = max_min_fair(net.demands())
