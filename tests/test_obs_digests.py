@@ -12,7 +12,18 @@ precision) of
   ``live_tardiness``) -- the registry and scheduler sections carry wall
   times and are left out;
 * ``diagnose`` of the artifacts rebuilt from the JSONL event log;
-* ``diff_runs`` of the fair-sharing run against the echelon run.
+* ``diff_runs`` of the fair-sharing run against the echelon run;
+* the registry snapshot, minus the wall-clock
+  ``scheduler_wall_clock_seconds`` series;
+* the ``JsonlEventLog.dump()`` text, minus the wall-clock-stamped
+  ``scheduler_invocation`` lines.
+
+The last two guard the hooks' payloads (shared path hop lists, the
+sealed rate segments in ``flow_rates`` events) and the lazily bound
+metric series, which the report sections do not see. Every run carries
+the stack ``repro cluster --metrics-out --events-out`` installs: an
+Instrumentation with an event log, plus a ProfiledScheduler on the same
+registry and log.
 
 Two workloads: four Table-1 jobs on ``fat_tree(4)`` with ECMP routing,
 and the paper's Fig. 2 pipeline segment on two hosts. Neither run
@@ -27,7 +38,7 @@ import pytest
 
 from repro.core import FlowIdAllocator, use_flow_id_allocator
 from repro.core.units import gbps
-from repro.obs import Instrumentation, JsonlEventLog
+from repro.obs import Instrumentation, JsonlEventLog, ProfiledScheduler
 from repro.obs.diagnosis import RunArtifacts, diagnose, diff_runs
 from repro.obs.report import build_metrics_report
 from repro.scheduling import make_scheduler
@@ -53,13 +64,22 @@ def _sha(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _fattree(scheduler):
+def _observed(scheduler):
+    """An Instrumentation plus a ProfiledScheduler on its registry and log."""
     obs = Instrumentation(event_log=JsonlEventLog())
+    profiled = ProfiledScheduler(
+        make_scheduler(scheduler), registry=obs.registry, event_log=obs.event_log
+    )
+    return obs, profiled
+
+
+def _fattree(scheduler):
+    obs, profiled = _observed(scheduler)
     with use_flow_id_allocator(FlowIdAllocator()):
         topology = fat_tree(4, gbps(10))
         engine = Engine(
             topology,
-            make_scheduler(scheduler),
+            profiled,
             router=EcmpRouter(topology),
             instrumentation=obs,
         )
@@ -77,9 +97,9 @@ def _fattree(scheduler):
 
 
 def _fig2(scheduler):
-    obs = Instrumentation(event_log=JsonlEventLog())
+    obs, profiled = _observed(scheduler)
     with use_flow_id_allocator(FlowIdAllocator()):
-        engine = Engine(two_hosts(1.0), make_scheduler(scheduler), instrumentation=obs)
+        engine = Engine(two_hosts(1.0), profiled, instrumentation=obs)
         job = build_pipeline_segment(
             "fig2", "h0", "h1", [0.0, 1.0, 2.0], [2.0] * 3, [2.0] * 3
         )
@@ -111,7 +131,37 @@ PINNED = {
     ("fig2", "diff"): (
         "17d28e4c1142fdfda47c67cbef46d453f297480aca7676215d00b207d597ee44"
     ),
+    # Recorded before the dirty-link timeline, the shared path payloads
+    # and the lazily bound metric series.
+    ("fattree", "registry"): (
+        "c1521c295020a62b1fd62a3e9e8f9013096611e36a2363881de414a13511993c"
+    ),
+    ("fattree", "events"): (
+        "97c28a15c9150202d12e7ef466df0765a24e2fc8448a21787926651173acf8bb"
+    ),
+    ("fig2", "registry"): (
+        "8673f3d373d7d55a0ca667866f9655afa016c7f45005d401f0b026fb6c7b883a"
+    ),
+    ("fig2", "events"): (
+        "25a03706d9384170faca789d796522a0113a3ed04eb9c85937a86a1c0947a3d4"
+    ),
 }
+
+
+def _registry_without_wall_clock(registry):
+    snapshot = registry.snapshot()
+    snapshot["histograms"].pop("scheduler_wall_clock_seconds", None)
+    return snapshot
+
+
+def _dump_digest(log) -> str:
+    """SHA-256 of the JSONL text, minus the wall-clock-stamped lines."""
+    text = "".join(
+        line
+        for line in log.dump().splitlines(keepends=True)
+        if '"ev": "scheduler_invocation"' not in line
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _compute():
@@ -124,6 +174,8 @@ def _compute():
             scheduler_invocations=engine.scheduler_invocations,
         )
         out[(name, "report")] = _sha({key: report.get(key) for key in REPORT_SECTIONS})
+        out[(name, "registry")] = _sha(_registry_without_wall_clock(obs.registry))
+        out[(name, "events")] = _dump_digest(obs.event_log)
         echelon = RunArtifacts.from_events(obs.event_log.events)
         out[(name, "diagnose")] = _sha(diagnose(echelon))
         fair_trace, fair_obs, _ = build("fair")
