@@ -28,8 +28,8 @@ The hot path is O(changed flows) per event, not O(active flows):
 * **Residual accounting.** A :class:`~repro.simulator.allocation.LinkAccounting`
   tracks per-link load deltas as rates change, so the ``set_rates``
   feasibility gate inspects only the links whose load moved, lenient-mode
-  scaling relaxes without rebuilding usage maps, and ``link_usage`` (the
-  observer's sampling hook) is a read of maintained state.
+  scaling relaxes without rebuilding usage maps, and the observer samples
+  the accounting itself rather than a usage map built per advance.
 * **Dirty-set rates.** ``set_rates`` applies only rates that actually
   changed; unchanged flows keep their anchors, heap entries, and link
   contributions untouched. A vector allocation is applied in bulk:
@@ -139,9 +139,11 @@ class NetworkModel:
         self._completed: Dict[int, FlowState] = {}
         #: Total bytes delivered, for conservation checks.
         self.bytes_delivered = 0.0
-        #: Optional observer (repro.obs Instrumentation): notified with
-        #: (now, dt, {Link: aggregate rate}) on every nonzero advance.
-        #: ``None`` keeps the fluid loop free of accounting overhead.
+        #: Optional observer (repro.obs Instrumentation): handed
+        #: (now, dt, the residual :class:`LinkAccounting`) on every
+        #: nonzero advance, and told of admissions, rate changes,
+        #: reroutes and capacity changes. ``None`` keeps the fluid loop
+        #: free of observation overhead.
         self.observer = None
         #: Bumped on every runtime capacity mutation; consumers that cache
         #: anything derived from capacities (e.g. MemoizingScheduler
@@ -1018,6 +1020,8 @@ class NetworkModel:
         )
         if key in self.accounting.capacities:
             self.accounting.set_capacity(key, capacity)
+        if self.observer is not None:
+            self.observer.on_link_capacity(link, self._now)
         load = self.accounting.loads.get(key, 0.0)
         if load > capacity * (1.0 + 1e-9) + 1e-12:
             ratio = 0.0 if capacity <= 0.0 else capacity / load
@@ -1166,8 +1170,7 @@ class NetworkModel:
     def link_usage(self) -> Dict[Link, float]:
         """Aggregate allocated rate per link across the active flows.
 
-        Only links carrying at least one nonzero-rate flow appear; the
-        engine's observer turns this into the utilization timeline. Reads
+        Only links carrying at least one nonzero-rate flow appear. Reads
         the maintained residual accounting -- O(links), not O(flows).
         """
         return self.accounting.usage()
@@ -1232,7 +1235,7 @@ class NetworkModel:
         if dt < 0.0:
             dt = 0.0
         if self.observer is not None and dt > 0.0 and self._active:
-            self.observer.on_network_advance(now, dt, self.link_usage())
+            self.observer.on_network_advance(now, dt, self.accounting)
         finish_time = now + dt
         if finish_time < self._now:
             finish_time = self._now
