@@ -186,6 +186,11 @@ class LinkAccounting:
     the accounting's lifetime and :meth:`clone` carries the numbering
     over unchanged: a forked model resolves every flow to the columns its
     parent did.
+
+    ``moved`` is off (``None``) unless a consumer sets it to a set; from
+    then on every method that changes a link's load, nonzero count or
+    capacity adds that link's key to it, and the consumer clears it.
+    The observer's link timeline uses it to sample only what moved.
     """
 
     __slots__ = (
@@ -196,6 +201,7 @@ class LinkAccounting:
         "nonzero",
         "columns",
         "column_capacities",
+        "moved",
     )
 
     def __init__(self) -> None:
@@ -212,6 +218,9 @@ class LinkAccounting:
         self.columns: Dict[Tuple[str, str], int] = {}
         #: column -> current capacity (mirrors ``capacities``).
         self.column_capacities: List[float] = []
+        #: Keys whose load, nonzero count or capacity changed since the
+        #: consumer last cleared the set; ``None`` records nothing.
+        self.moved: Optional[set] = None
 
     def watch(self, flow_id: int, path: Sequence[Link]) -> None:
         """Register a newly-injected (rate-0) flow on its path's links."""
@@ -236,6 +245,8 @@ class LinkAccounting:
         """Record a watched link's new capacity (fault injection/repair)."""
         self.capacities[key] = capacity
         self.column_capacities[self.columns[key]] = capacity
+        if self.moved is not None:
+            self.moved.add(key)
 
     def unwatch(self, flow_id: int, path: Sequence[Link], rate: float) -> None:
         """Retire a flow: release its rate and drop it from link sets."""
@@ -250,6 +261,8 @@ class LinkAccounting:
                 # Kill accumulated drift the moment a link goes idle.
                 self.loads[key] = 0.0
                 self.nonzero[key] = 0
+        if self.moved is not None:
+            self.moved.update([link.key for link in path])
 
     def apply(self, path: Sequence[Link], old_rate: float, new_rate: float) -> None:
         """Move a flow's contribution from ``old_rate`` to ``new_rate``."""
@@ -260,6 +273,8 @@ class LinkAccounting:
             self.loads[key] += delta
             if step:
                 self.nonzero[key] += step
+        if self.moved is not None:
+            self.moved.update([link.key for link in path])
 
     def apply_bulk(
         self,
@@ -281,6 +296,9 @@ class LinkAccounting:
         nonzero = self.nonzero
         for key, step in nonzero_steps.items():
             nonzero[key] += step
+        if self.moved is not None:
+            self.moved.update(link_deltas)
+            self.moved.update(nonzero_steps)
 
     def clone(
         self, link_map: Optional[Mapping[Tuple[str, str], Link]] = None
