@@ -51,8 +51,9 @@ checked-in baseline (``benchmarks/results/bench_scale_baseline.json``):
   over DAG traffic must stay a fraction of the run it explains.
 
 Ratios are machine-independent to first order, so the step fails only
-when a layer itself regresses (> 2x its baseline ratio), not when CI
-hardware is slow -- and the failure message names the regressed layer.
+when a layer itself regresses (> 2x its baseline ratio; > 1.5x for
+``instrumented_ratio``), not when CI hardware is slow -- and the
+failure message names the regressed layer.
 Exit code 1 on regression or equivalence mismatch.
 
 See ``docs/performance.md`` for how to read the JSON report.
@@ -95,8 +96,13 @@ TICK = 0.2
 #: The best-effort point ``--huge`` appends.
 HUGE_FLOWS = 1_000_000
 #: Regression threshold for --smoke: fail when a guard's median time
-#: ratio exceeds the checked-in baseline ratio by more than this.
+#: ratio exceeds the checked-in baseline ratio by more than this ...
 SMOKE_FACTOR = 2.0
+#: ... or by more than the guard's own, tighter factor. The
+#: instrumentation guard's 1.5x (limit 1.85 on its 1.232 baseline) was
+#: set after ten smoke medians on the tree that set it cleared the limit
+#: by at least 25% (docs/performance.md, "The CI smoke").
+INSTRUMENTED_FACTOR = 1.5
 #: The vector and instrumentation guards' size: past the auto-select
 #: threshold, so the vector guard measures the kernel the engine would
 #: actually pick, and long enough a run (about a second scalar) that
@@ -394,14 +400,16 @@ def sweep(sizes, seed: int, scheduler: str, fabric: str = "big_switch") -> dict:
     }
 
 
-def _guard(name: str, median_ratio: float, baseline_ratio) -> bool:
+def _guard(
+    name: str, median_ratio: float, baseline_ratio, factor: float = SMOKE_FACTOR
+) -> bool:
     """One named ratio guard; prints the verdict, True when it passes."""
     if baseline_ratio is None:
         print(
             f"[bench_scale] smoke: no baseline for {name}; skipping its guard"
         )
         return True
-    allowed = SMOKE_FACTOR * baseline_ratio
+    allowed = factor * baseline_ratio
     print(
         f"[bench_scale] smoke [{name}]: median ratio {median_ratio:.3f}, "
         f"baseline {baseline_ratio:.3f}, allowed <= {allowed:.3f}"
@@ -409,7 +417,7 @@ def _guard(name: str, median_ratio: float, baseline_ratio) -> bool:
     if median_ratio > allowed:
         print(
             f"[bench_scale] REGRESSION in {name}: median time ratio "
-            f"{median_ratio:.3f} exceeds {SMOKE_FACTOR}x the baseline "
+            f"{median_ratio:.3f} exceeds {factor}x the baseline "
             f"({baseline_ratio:.3f})",
             file=sys.stderr,
         )
@@ -501,6 +509,7 @@ def smoke(seed: int, scheduler: str) -> int:
         "instrumentation (instrumented/scalar)",
         statistics.median(instr_ratios),
         baseline.get("instrumented_ratio"),
+        INSTRUMENTED_FACTOR,
     )
     ok &= _guard(
         "vector kernel (vector/scalar)",

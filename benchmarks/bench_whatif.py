@@ -9,7 +9,8 @@ ways:
 * **warm** -- fork the nearest cached snapshot at or before the query
   time, delta-resimulate the gap, apply the intervention, run the tail.
   Sibling forks share the baseline's MemoizingScheduler fingerprint
-  cache, so repeated allocations are dictionary lookups.
+  cache, so a repeated allocation costs its fingerprint and a lookup,
+  not an inner solve.
 * **cold** -- rebuild the whole cluster from scratch and replay from
   t=0 for every query (what answering counterfactuals costs without
   the snapshot spine).
@@ -31,13 +32,25 @@ It also times one :meth:`Engine.fork` with the baseline paused at 10%,
 state, so its cost must track the live flows, not how much history the
 run has retired; ``fork_scaling`` is the 90% time over the 10% time.
 
-``--smoke`` answers a reduced sweep and guards two ratios against the
+It then answers the sweep once more, warm, with timers wrapped around
+``MemoizingScheduler._fingerprint`` and the inner scheduler's
+``allocate`` (patched on their classes for that pass only, so the timed
+passes above carry no timers). ``memo_ratio`` is fingerprint seconds
+over inner-solve seconds: what the memo costs against the solves it
+wraps.
+
+``--smoke`` answers a reduced sweep and guards three ratios against the
 checked-in baseline (``benchmarks/results/bench_whatif_baseline.json``):
 
 * the steady-state warm/cold *speedup*, which fails below
   baseline / ``SMOKE_FACTOR`` or below the 5x floor;
 * ``fork_scaling``, which fails above baseline x ``SMOKE_FACTOR``: a
-  fork that copies every retired flow again reads about 10 here.
+  fork that copies every retired flow again reads about 10 here;
+* ``memo_ratio``, which fails above baseline x ``SMOKE_FACTOR``. The
+  per-flow fingerprint this one replaced (every value of every flow
+  quantized, every deadline resolved per flow) reads about 1.7x the
+  baseline, so the guard catches a fingerprint that grows costlier
+  than that, not a plain return to it.
 
 Ratios are machine-independent to first order: the guards fail when the
 warm path or the fork itself regresses, not when CI hardware is slow.
@@ -59,6 +72,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+from repro.scheduling import MemoizingScheduler
 from repro.whatif import WhatIfService
 
 RESULTS_DIR = ROOT / "benchmarks" / "results"
@@ -76,8 +90,8 @@ PASSES = 3
 FORK_MARKS = (10, 50, 90)
 FORK_REPS = 21
 #: --smoke fails when the warm/cold speedup drops below
-#: baseline_speedup / SMOKE_FACTOR, or fork_scaling rises above
-#: baseline_fork_scaling * SMOKE_FACTOR ...
+#: baseline_speedup / SMOKE_FACTOR, or fork_scaling or memo_ratio rises
+#: above its baseline * SMOKE_FACTOR ...
 SMOKE_FACTOR = 2.0
 #: ... or below this absolute floor (the acceptance bar), whichever is
 #: stricter.
@@ -145,6 +159,37 @@ def fork_times(service: WhatIfService) -> dict:
     return {mark: statistics.median(times) for mark, times in samples.items()}
 
 
+def memo_ratio(service: WhatIfService, queries) -> float:
+    """Fingerprint seconds over inner-solve seconds, over one warm pass.
+
+    The timers are patched onto the classes for this pass only and
+    removed after it, so no other pass pays for them.
+    """
+    spent = {"_fingerprint": 0.0, "allocate": 0.0}
+    inner_class = type(service.engine.scheduler.inner)
+    patched = [(MemoizingScheduler, "_fingerprint"), (inner_class, "allocate")]
+    originals = [getattr(owner, name) for owner, name in patched]
+
+    def timed(function, name):
+        def wrapper(self, view):
+            start = time.perf_counter()
+            try:
+                return function(self, view)
+            finally:
+                spent[name] += time.perf_counter() - start
+
+        return wrapper
+
+    for (owner, name), function in zip(patched, originals):
+        setattr(owner, name, timed(function, name))
+    try:
+        timed_pass(service, queries, "warm")
+    finally:
+        for (owner, name), function in zip(patched, originals):
+            setattr(owner, name, function)
+    return spent["_fingerprint"] / spent["allocate"]
+
+
 def run_bench(queries, passes: int) -> dict:
     build_start = time.perf_counter()
     # The sanitizer is forced off: this benchmark measures the fork/replay
@@ -185,6 +230,12 @@ def run_bench(queries, passes: int) -> dict:
     speedup = warm_qps / cold_qps
     print(f"[bench_whatif] speedup: {speedup:.2f}x", flush=True)
 
+    memo = memo_ratio(service, queries)
+    print(
+        f"[bench_whatif] memo_ratio (fingerprint / inner solve): {memo:.3f}",
+        flush=True,
+    )
+
     forks = fork_times(service)
     fork_scaling = forks[FORK_MARKS[-1]] / forks[FORK_MARKS[0]]
     print(
@@ -212,12 +263,14 @@ def run_bench(queries, passes: int) -> dict:
         "cached_handles": len(service._handles),
         "fork_ms": {str(mark): round(seconds * 1e3, 4) for mark, seconds in forks.items()},
         "fork_scaling": round(fork_scaling, 3),
+        "memo_ratio": round(memo, 3),
     }
 
 
 def smoke() -> int:
-    """CI guard: the warm path must stay >= 5x and near its baseline, and
-    a late fork must cost about what an early one does."""
+    """CI guard: the warm path must stay >= 5x and near its baseline, a
+    late fork must cost about what an early one does, and the memo must
+    cost about what it did against the solves it wraps."""
     try:
         baseline = json.loads(BASELINE_PATH.read_text())
     except FileNotFoundError:
@@ -251,6 +304,20 @@ def smoke() -> int:
             f"{FORK_MARKS[0]}%, above {ceiling:.2f} (baseline "
             f"{baseline['fork_scaling']:.2f} x {SMOKE_FACTOR}): forks are "
             f"copying retired history again",
+            file=sys.stderr,
+        )
+        status = 1
+    ceiling = baseline["memo_ratio"] * SMOKE_FACTOR
+    print(
+        f"[bench_whatif] smoke: memo_ratio {report['memo_ratio']:.3f}, "
+        f"baseline {baseline['memo_ratio']:.3f}, required <= {ceiling:.3f}"
+    )
+    if report["memo_ratio"] > ceiling:
+        print(
+            f"[bench_whatif] REGRESSION: the memo fingerprint costs "
+            f"{report['memo_ratio']:.3f}x the inner solves it wraps, above "
+            f"{ceiling:.3f} (baseline {baseline['memo_ratio']:.3f} x "
+            f"{SMOKE_FACTOR})",
             file=sys.stderr,
         )
         status = 1

@@ -14,13 +14,18 @@ order-of-appearance so per-iteration id suffixes do not matter -- and
 replays the inner algorithm's allocation whenever the same situation
 recurs.
 
-A hit costs one dictionary lookup instead of a full MADD run; on steady
-multi-iteration jobs the hit rate approaches (iterations - 1)/iterations.
+Every call, hit or miss, pays for the fingerprint: O(active flows)
+tuple work plus one quantization per distinct float (a decision repeats
+a few remaining sizes, deadlines and weights over many flows), then a
+dictionary lookup that hashes the O(active flows) key. A hit saves the
+inner solve, no more; on steady multi-iteration jobs the hit rate
+approaches (iterations - 1)/iterations.
+
 Fingerprint floats are quantized to 9 significant digits so iteration
-k+1's accumulated float fuzz still matches iteration k's situation; two
+k+1's accumulated float fuzz still matches iteration k's situation. Two
 situations within the quantum are treated as the same optimization
-problem, so a replayed allocation can differ from a fresh solve by at
-most the last ulp.
+problem, so a replayed allocation can differ from a fresh solve of the
+situation at hand by up to about the quantum: 1 part in 1e9, relative.
 """
 
 from __future__ import annotations
@@ -35,6 +40,14 @@ from .base import Scheduler, SchedulerView
 def _quantize(value: float) -> float:
     """Collapse float fuzz so recurring situations fingerprint equally."""
     return float(f"{value:.9g}")
+
+
+class _QuantizedValues(dict):
+    """value -> ``_quantize(value)``, filled on first lookup."""
+
+    def __missing__(self, value: float) -> float:
+        quantized = self[value] = _quantize(value)
+        return quantized
 
 
 class MemoizingScheduler(Scheduler):
@@ -54,8 +67,9 @@ class MemoizingScheduler(Scheduler):
     # ------------------------------------------------------------------
 
     def _fingerprint(self, view: SchedulerView) -> Tuple[Tuple, List[int]]:
-        states = view.active_states()  # sorted by flow id = injection order
-        group_tokens: Dict[Optional[str], int] = {}
+        network = view.network
+        now = view.now
+        echelonflows = view.echelonflows
         # Runtime capacity mutations (fault injection) change the
         # optimization problem without changing any per-flow field; the
         # network's capacity *lineage* keys them into the fingerprint so
@@ -66,37 +80,64 @@ class MemoizingScheduler(Scheduler):
         # one both sit at epoch N+1, but their lineages differ, so
         # neither can replay the other's allocation.
         entries = [
-            ("epoch", getattr(view.network, "capacity_lineage", None)
-             or view.network.capacity_epoch)
+            ("epoch", getattr(network, "capacity_lineage", None)
+             or network.capacity_epoch)
         ]
         flow_ids = []
-        link_keys = view.network.link_keys
-        for state in states:
+        link_keys = network.link_keys
+        # A decision repeats a few values over many flows: members of a
+        # group share its weight and, per arrangement index, a deadline;
+        # remaining bytes repeat across equal-sized flows. Each distinct
+        # float is quantized once per call, and each group and each
+        # (group, index) deadline resolved once per call.
+        quantized = _QuantizedValues()
+        # group id -> (order-of-appearance token, quantized weight, the
+        # EchelonFlow that dates its members or None when each flow's own
+        # cached deadline applies, index -> quantized slack).
+        groups: Dict[Optional[str], Tuple] = {}
+        for state in view.active_states():  # sorted by flow id
             flow = state.flow
             group_id = flow.group_id
-            if group_id not in group_tokens:
-                group_tokens[group_id] = len(group_tokens)
-            weight = view.group_weight_of(state)
-            deadline = view.ideal_finish_time(state)
-            slack = (
-                _quantize(deadline - view.now)
-                if deadline is not None
-                else _quantize(view.now - state.start_time)
-            )
+            group = groups.get(group_id)
+            if group is None:
+                echelonflow = (
+                    echelonflows.get(group_id) if group_id is not None else None
+                )
+                weight = echelonflow.weight if echelonflow is not None else 1.0
+                if echelonflow is not None and echelonflow.reference_time is None:
+                    echelonflow = None
+                group = groups[group_id] = (
+                    len(groups), quantized[weight], echelonflow, {}
+                )
+            token, q_weight, echelonflow, slacks = group
+            index = flow.index_in_group
+            if echelonflow is not None:
+                slack = slacks.get(index)
+                if slack is None:
+                    slack = slacks[index] = quantized[
+                        echelonflow.ideal_finish_time(index) - now
+                    ]
+            else:
+                deadline = state.ideal_finish_time
+                slack = quantized[
+                    deadline - now if deadline is not None
+                    else now - state.start_time
+                ]
+            flow_id = flow.flow_id
+            # The path by link names (forks share them), which also names
+            # the endpoints: with ECMP, equal endpoints do not imply
+            # equal paths.
             entries.append(
                 (
-                    # The path by link names (forks share them), which
-                    # also names the endpoints: with ECMP, equal
-                    # endpoints do not imply equal paths.
-                    link_keys(flow.flow_id),
-                    group_tokens[group_id],
-                    flow.index_in_group,
-                    _quantize(state.remaining),
+                    link_keys(flow_id),
+                    token,
+                    index,
+                    quantized[state.remaining],
                     slack,
-                    _quantize(weight),
+                    q_weight,
                 )
             )
-            flow_ids.append(flow.flow_id)
+            flow_ids.append(flow_id)
         return tuple(entries), flow_ids
 
     def allocate(self, view: SchedulerView) -> Dict[int, float]:
@@ -117,10 +158,10 @@ class MemoizingScheduler(Scheduler):
     def fork(self) -> "MemoizingScheduler":
         """A fork that *shares* the fingerprint cache by reference.
 
-        The cache is exact -- identical fingerprints imply an identical
-        optimization problem -- and fingerprints embed the capacity
-        lineage, so parent, fork, and sibling forks can safely feed one
-        another warm decisions: the what-if service's whole point. The
+        Equal fingerprints mean the same optimization problem up to the
+        quantum, and fingerprints embed the capacity lineage, so parent,
+        fork, and sibling forks can safely feed one another warm
+        decisions: the what-if service's whole point. The
         inner scheduler is forked normally (independent state); hit/miss
         counters start fresh so per-fork hit rates are meaningful.
         """

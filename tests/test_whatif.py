@@ -347,8 +347,8 @@ _QUERIES = [
 def _assert_triples_close(warm, cold):
     # Warm forks may hit memo-cache entries whose inputs sat within the
     # fingerprint quantum (1 part in 1e9, see scheduling.cache._quantize)
-    # of the variant's, so warm and cold can differ in the last ulp --
-    # never beyond the quantum.
+    # of the variant's, so warm and cold can differ by up to about that
+    # relative amount, not only in the last ulp.
     assert warm.keys() == cold.keys()
     for key in warm:
         for field in ("baseline", "variant", "delta"):
