@@ -16,6 +16,7 @@ none of which the plain trace JSON records.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -23,11 +24,16 @@ from ..jsonl import read_jsonl
 
 _INF = float("inf")
 
+#: ``dataclass`` options of the per-flow records: ``__slots__`` where the
+#: interpreter supports them (3.10+), which makes the thousands built per
+#: report smaller and faster to fill.
+SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
 #: A pinned path as ((link key, capacity), ...).
 PinnedPath = Tuple[Tuple[str, float], ...]
 
 
-@dataclass
+@dataclass(**SLOTS)
 class FlowFact:
     """Everything diagnosis knows about one flow."""
 
@@ -143,10 +149,12 @@ class RunArtifacts:
     # -- derived views --------------------------------------------------
 
     def delivered_flows(self) -> List[FlowFact]:
+        """Every delivered flow, in flow-id order."""
+        flows = self.flows
         return [
-            self.flows[fid]
-            for fid in sorted(self.flows)
-            if self.flows[fid].delivered
+            flow
+            for flow in map(flows.__getitem__, sorted(flows))
+            if flow.finish is not None
         ]
 
     def flows_of_job(self, job: Optional[str]) -> List[FlowFact]:
@@ -195,17 +203,7 @@ class RunArtifacts:
         Each list is in flow-id order; a rerouted flow is listed once under
         every link of every path it was pinned to.
         """
-        out: Dict[str, List[FlowFact]] = {}
-        for flow in self.delivered_flows():
-            if flow.path_epochs:
-                keys = dict.fromkeys(
-                    key for _, path in flow.path_epochs for key, _ in path
-                )
-            else:
-                keys = [key for key, _capacity in flow.path]
-            for key in keys:
-                out.setdefault(key, []).append(flow)
-        return out
+        return group_by_link(self.delivered_flows())
 
     # -- constructors ---------------------------------------------------
 
@@ -318,39 +316,53 @@ class RunArtifacts:
         artifacts = cls(source="run")
         recorder = getattr(instrumentation, "rate_recorder", None)
         task_meta = getattr(instrumentation, "task_meta", {}) or {}
+        flows = artifacts.flows
+        if recorder is not None:
+            paths = recorder.paths
+            segments = recorder.segments
+            epochs = recorder.epochs
+        else:
+            paths = segments = epochs = {}
         for record in trace.flow_records:
             flow = record.flow
-            fact = FlowFact(
-                flow_id=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                size=flow.size,
-                group=flow.group_id,
-                index=flow.index_in_group,
-                job=flow.job_id,
-                tag=flow.tag,
-                start=record.start,
-                finish=record.finish,
-                ideal_finish=record.ideal_finish,
+            flow_id = flow.flow_id
+            moved = epochs.get(flow_id)
+            # The recorder's own segment lists, sealed once a flow is
+            # delivered (see FlowRateRecorder.rates_of): held, not copied.
+            flows[flow_id] = FlowFact(
+                flow_id,
+                flow.src,
+                flow.dst,
+                flow.size,
+                flow.group_id,
+                flow.index_in_group,
+                flow.job_id,
+                flow.tag,
+                record.start,
+                record.finish,
+                record.ideal_finish,
+                paths.get(flow_id, ()),
+                segments.get(flow_id) or [],
+                tuple(moved) if moved else (),
             )
-            if recorder is not None:
-                fact.path = recorder.paths.get(flow.flow_id, ())
-                fact.segments = recorder.rates_of(flow.flow_id)
-                fact.path_epochs = tuple(recorder.epochs.get(flow.flow_id, ()))
-            artifacts.flows[flow.flow_id] = fact
+        tasks = artifacts.tasks
         for event in trace.task_events:
-            meta = task_meta.get((event.job_id, event.task_id))
-            artifacts.tasks[(event.job_id, event.task_id)] = TaskFact(
-                task_id=event.task_id,
-                job=event.job_id,
-                kind=event.kind,
-                completed=event.time,
-                device=getattr(meta, "device", None),
-                duration=getattr(meta, "duration", 0.0) or 0.0,
-                deps=tuple(getattr(meta, "deps", ())),
-                flow_ids=tuple(
-                    flow.flow_id for flow in getattr(meta, "flows", ())
-                ),
+            key = (event.job_id, event.task_id)
+            meta = task_meta.get(key)
+            if meta is None:
+                tasks[key] = TaskFact(
+                    event.task_id, event.job_id, event.kind, event.time
+                )
+                continue
+            tasks[key] = TaskFact(
+                event.task_id,
+                event.job_id,
+                event.kind,
+                event.time,
+                meta.device,
+                meta.duration or 0.0,
+                tuple(meta.deps),
+                tuple([flow.flow_id for flow in meta.flows]),
             )
         if instrumentation is not None:
             artifacts.job_arrivals = dict(
@@ -376,3 +388,26 @@ class RunArtifacts:
         if recorder is not None and recorder.evicted_flows:
             artifacts.meta["evicted_flows"] = recorder.evicted_flows
         return artifacts
+
+
+def group_by_link(flows: Iterable[FlowFact]) -> Dict[str, List[FlowFact]]:
+    """link key -> the ``flows`` pinned to a path crossing it.
+
+    Each list keeps the order of ``flows``; a rerouted flow is listed
+    once under every link of every path it was pinned to.
+    """
+    out: Dict[str, List[FlowFact]] = {}
+    for flow in flows:
+        if flow.path_epochs:
+            keys = dict.fromkeys(
+                key for _, path in flow.path_epochs for key, _ in path
+            )
+        else:
+            keys = [key for key, _capacity in flow.path]
+        for key in keys:
+            series = out.get(key)
+            if series is None:
+                out[key] = [flow]
+            else:
+                series.append(flow)
+    return out

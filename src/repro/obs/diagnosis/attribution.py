@@ -48,13 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .artifacts import FlowFact, RunArtifacts
+from .artifacts import SLOTS, FlowFact, RunArtifacts, group_by_link
 
 #: Components must re-add to the total within this (relative) tolerance.
 SUM_TOL = 1e-6
 
 
-@dataclass
+@dataclass(**SLOTS)
 class FlowAttribution:
     """One flow's tardiness, decomposed; see module docstring."""
 
@@ -111,7 +111,12 @@ def bottleneck_of(flow: FlowFact) -> Optional[Tuple[str, float]]:
     """The min-capacity hop of the flow's pinned path (first on ties)."""
     best = None
     for hop in flow.path:
-        if best is None or (hop[1], hop[0]) < (best[1], best[0]):
+        # (capacity, key) order, compared without building the pairs.
+        if (
+            best is None
+            or hop[1] < best[1]
+            or (hop[1] == best[1] and hop[0] < best[0])
+        ):
             best = hop
     return best
 
@@ -128,6 +133,7 @@ def overlap_integral(segments, lo: float, hi: float) -> float:
 
 
 _INF = float("inf")
+_UNSEEN = object()
 #: Pinned spans of a flow that never moved: its one path, all the time.
 _ALWAYS = ((-_INF, _INF),)
 
@@ -157,53 +163,68 @@ def _overlapping(
     pair is found exactly once, in O(n log n + pairs). ``None`` or
     zero-length entries overlap nothing.
     """
-    events = []
-    for side, spans in ((0, windows), (1, extents)):
+    # Event k < m ends entry ``entries[k]``, event m + k starts it;
+    # entry w < len(windows) is window w, entry n + i is extent i. A
+    # stable sort on the time alone keeps every end before every start
+    # at equal times.
+    n = len(windows)
+    entries: List[int] = []
+    starts: List[float] = []
+    ends: List[float] = []
+    for offset, spans in ((0, windows), (n, extents)):
         for index, span in enumerate(spans):
             if span is not None and span[0] < span[1]:
-                events.append((span[0], 1, side, index))
-                events.append((span[1], 0, side, index))
-    events.sort()
+                entries.append(offset + index)
+                starts.append(span[0])
+                ends.append(span[1])
+    m = len(entries)
+    times = ends + starts
     found: List[List[int]] = [[] for _ in windows]
     open_windows: Dict[int, None] = {}
     open_extents: Dict[int, None] = {}
-    for _time, starting, side, index in events:
-        if side == 0:
-            if not starting:
-                del open_windows[index]
-                continue
-            found[index].extend(open_extents)
-            open_windows[index] = None
+    for event in sorted(range(2 * m), key=times.__getitem__):
+        if event < m:
+            entry = entries[event]
+            if entry < n:
+                del open_windows[entry]
+            else:
+                del open_extents[entry - n]
+            continue
+        entry = entries[event - m]
+        if entry < n:
+            found[entry].extend(open_extents)
+            open_windows[entry] = None
         else:
-            if not starting:
-                del open_extents[index]
-                continue
+            index = entry - n
             for window in open_windows:
                 found[window].append(index)
             open_extents[index] = None
     return found
 
 
-def _prepare(flow: FlowFact) -> Tuple[FlowAttribution, Optional[str]]:
+def _prepare(
+    flow: FlowFact, hop: Optional[Tuple[str, float]]
+) -> Tuple[FlowAttribution, Optional[str]]:
     """The flow's Eq. 1 numbers, bottleneck, stretch and upstream term.
 
-    Also returns the bottleneck link whose contenders are still to be
-    integrated, or ``None`` when the flow has no recorded path, no
-    endpoints, no size or no bottleneck capacity.
+    ``hop`` is the flow's :func:`bottleneck_of`. Also returns the
+    bottleneck link whose contenders are still to be integrated, or
+    ``None`` when the flow has no recorded path, no endpoints, no size
+    or no bottleneck capacity.
     """
+    start, finish = flow.start, flow.finish
     out = FlowAttribution(
-        flow_id=flow.flow_id,
-        stage=flow.stage,
-        job=flow.job,
-        group=flow.group,
-        start=flow.start if flow.start is not None else 0.0,
-        finish=flow.finish if flow.finish is not None else 0.0,
-        ideal_finish=flow.ideal_finish,
-        tardiness=flow.tardiness,
-        bottleneck=None,
-        bottleneck_capacity=None,
+        flow.flow_id,
+        flow.stage,
+        flow.job,
+        flow.group,
+        start if start is not None else 0.0,
+        finish if finish is not None else 0.0,
+        flow.ideal_finish,
+        flow.tardiness,
+        None,
+        None,
     )
-    hop = bottleneck_of(flow)
     if hop is None or flow.finish is None or flow.start is None:
         return out, None
     key, capacity = hop
@@ -233,7 +254,10 @@ def _attribute_link(
     lifetime would contribute exactly ``0.0``, so only overlapping pairs
     are integrated, still in flow-id order. A contender counts only
     while both it and the victim were pinned to ``key`` (path epochs);
-    the victim's own share covers its whole lifetime.
+    the victim's own share covers its whole lifetime. Each contender's
+    pinned spans, stage label and job are resolved once per link, on
+    its first overlapping pair, and a victim's own pinned windows on its
+    first contender.
     """
     found = _overlapping(
         [(flow.start, flow.finish) for _, flow in victims],
@@ -245,6 +269,8 @@ def _attribute_link(
         ],
     )
     position = {other.flow_id: j for j, other in enumerate(crossing)}
+    #: crossing index -> (pinned spans on ``key``, stage label, job).
+    contenders: Dict[int, Tuple[Sequence[Tuple[float, float]], str, str]] = {}
     for (out, flow), hits in zip(victims, found):
         lo, hi = flow.start, flow.finish
         capacity = out.bottleneck_capacity
@@ -252,34 +278,42 @@ def _attribute_link(
         if own is not None and own not in hits:
             hits.append(own)
         hits.sort()
-        windows = [
-            (since if since > lo else lo, until if until < hi else hi)
-            for since, until in _pinned_spans(flow, key)
-        ]
+        windows = None
+        contention = out.contention
+        by_job = out.contention_by_job
         used = 0.0
         for j in hits:
-            other = crossing[j]
+            segments = crossing[j].segments
             if j == own:
-                used += overlap_integral(other.segments, lo, hi)
+                used += overlap_integral(segments, lo, hi)
                 continue
+            known = contenders.get(j)
+            if known is None:
+                other = crossing[j]
+                known = contenders[j] = (
+                    _pinned_spans(other, key),
+                    other.stage,
+                    other.job or "?",
+                )
+            spans, stage, job = known
+            if windows is None:
+                windows = [
+                    (since if since > lo else lo, until if until < hi else hi)
+                    for since, until in _pinned_spans(flow, key)
+                ]
             share = 0.0
             for a, b in windows:
-                for c, d in _pinned_spans(other, key):
+                for c, d in spans:
                     left = a if a > c else c
                     right = b if b < d else d
                     if right > left:
-                        share += overlap_integral(other.segments, left, right)
+                        share += overlap_integral(segments, left, right)
             if share <= 0.0:
                 continue
             used += share
             seconds = share / capacity
-            out.contention[other.stage] = (
-                out.contention.get(other.stage, 0.0) + seconds
-            )
-            job = other.job or "?"
-            out.contention_by_job[job] = (
-                out.contention_by_job.get(job, 0.0) + seconds
-            )
+            contention[stage] = contention.get(stage, 0.0) + seconds
+            by_job[job] = by_job.get(job, 0.0) + seconds
         out.residual = (hi - lo) - used / capacity
         if out.upstream is not None:
             out.explained = out.upstream + out.contention_total + out.residual
@@ -295,7 +329,7 @@ def attribute_flow(
     :meth:`RunArtifacts.flows_on_link`). Flows without a recorded path
     or rate segments degrade to the bare Eq. 1 numbers.
     """
-    out, key = _prepare(flow)
+    out, key = _prepare(flow, bottleneck_of(flow))
     if key is not None:
         _attribute_link(key, [(out, flow)], on_link.get(key, ()))
     return out
@@ -311,12 +345,19 @@ def attribute_run(artifacts: RunArtifacts) -> Dict:
     """
     attributions = []
     victims: Dict[str, List[Tuple[FlowAttribution, FlowFact]]] = {}
-    for flow in artifacts.delivered_flows():
-        out, key = _prepare(flow)
+    delivered = artifacts.delivered_flows()
+    #: id of a path tuple -> its bottleneck hop. Flows recorded on one
+    #: path share its tuple, so each distinct path is scanned once.
+    bottlenecks: Dict[int, Optional[Tuple[str, float]]] = {}
+    for flow in delivered:
+        hop = bottlenecks.get(id(flow.path), _UNSEEN)
+        if hop is _UNSEEN:
+            hop = bottlenecks[id(flow.path)] = bottleneck_of(flow)
+        out, key = _prepare(flow, hop)
         attributions.append(out)
         if key is not None:
             victims.setdefault(key, []).append((out, flow))
-    on_link = artifacts.flows_on_link()
+    on_link = group_by_link(delivered)
     for key, group in victims.items():
         _attribute_link(key, group, on_link.get(key, ()))
     by_group: Dict[str, List[FlowAttribution]] = {}

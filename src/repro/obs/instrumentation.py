@@ -80,9 +80,9 @@ class LinkTimeline:
         self.names = LinkNames()
         #: Link.key -> (name, its segment list): one lookup per sample.
         self._series: Dict[Tuple[str, str], Tuple[str, List[List[float]]]] = {}
-        #: Link.key -> segment list of each link busy at the latest
-        #: sample; the last segment's stored end may trail ``_end``.
-        self._open: Dict[Tuple[str, str], List[List[float]]] = {}
+        #: Link.key -> (name, segment list) of each link busy at the
+        #: latest sample; the last segment's stored end may trail ``_end``.
+        self._open: Dict[Tuple[str, str], Tuple[str, List[List[float]]]] = {}
         #: End of the latest sample; ``None`` before the first.
         self._end: Optional[float] = None
 
@@ -94,7 +94,7 @@ class LinkTimeline:
     def segments(self) -> Dict[str, List[List[float]]]:
         """link key "src->dst" -> its [start, end, rate] segments."""
         end = self._end
-        for series in self._open.values():
+        for _name, series in self._open.values():
             series[-1][1] = end
         return self._segments
 
@@ -114,12 +114,19 @@ class LinkTimeline:
         series_of = self._series
         nonzero = accounting.nonzero
         moved = accounting.moved
+        loads = accounting.loads
+        links = accounting.links
+        capacities = self.capacities
+        # The per-link rule: extend the last segment or open a new one,
+        # both within _RATE_TOL (relative to the rate above 1). Open
+        # links run it in the scan of ``moved``; links that open a
+        # segment run go to ``busy`` and run it below.
         if (
             moved is None
             or previous is None
             or not -_RATE_TOL <= previous - now <= _RATE_TOL
         ):
-            for series in opened.values():
+            for _name, series in opened.values():
                 series[-1][1] = previous
             opened.clear()
             # ``nonzero`` iterates in column order.
@@ -129,12 +136,27 @@ class LinkTimeline:
             busy = []
             fresh = []
             for key in moved:
-                if nonzero[key] > 0:
+                if nonzero[key] <= 0:
+                    entry = opened.pop(key, None)
+                    if entry is not None:
+                        entry[1][-1][1] = previous
+                    continue
+                entry = opened.get(key)
+                if entry is None:
                     (busy if key in series_of else fresh).append(key)
-                else:
-                    series = opened.pop(key, None)
-                    if series is not None:
-                        series[-1][1] = previous
+                    continue
+                # Open, so contiguous: its end is ``previous`` until read.
+                name, series = entry
+                rate = loads[key]
+                if rate < 0.0:
+                    rate = 0.0
+                capacities[name] = links[key].capacity
+                tol = _RATE_TOL * rate if rate > 1.0 else _RATE_TOL
+                last = series[-1]
+                if -tol <= last[2] - rate <= tol:
+                    continue
+                last[1] = previous
+                series.append([now, end, rate])
             if fresh:
                 # Only first-seen links add keys; they go in column order.
                 fresh.sort(key=accounting.columns.__getitem__)
@@ -142,11 +164,6 @@ class LinkTimeline:
             moved.clear()
         self._end = end
 
-        # The per-link rule: extend the last segment or open a new one,
-        # both within _RATE_TOL (relative to the rate above 1).
-        loads = accounting.loads
-        links = accounting.links
-        capacities = self.capacities
         for key in busy:
             rate = loads[key]
             if rate < 0.0:
@@ -160,21 +177,14 @@ class LinkTimeline:
                 )
             name, series = entry
             capacities[name] = links[key].capacity
-            tol = _RATE_TOL * rate if rate > 1.0 else _RATE_TOL
-            if key in opened:
-                # Open, so contiguous: its end is ``previous`` until read.
+            opened[key] = entry
+            if series:
                 last = series[-1]
-                if -tol <= last[2] - rate <= tol:
-                    continue
-                last[1] = previous
-            else:
-                opened[key] = series
-                if series:
-                    last = series[-1]
-                    if -_RATE_TOL <= last[1] - now <= _RATE_TOL:
-                        if -tol <= last[2] - rate <= tol:
-                            last[1] = end
-                            continue
+                if -_RATE_TOL <= last[1] - now <= _RATE_TOL:
+                    tol = _RATE_TOL * rate if rate > 1.0 else _RATE_TOL
+                    if -tol <= last[2] - rate <= tol:
+                        last[1] = end
+                        continue
             series.append([now, end, rate])
 
     def utilization_series(self, key: str) -> List[Tuple[float, float, float]]:
@@ -199,11 +209,14 @@ class LinkTimeline:
             observed_end = 0.0
             for start, end, rate in series:
                 duration = end - start
-                peak = max(peak, rate / capacity)
+                utilization = rate / capacity
+                if utilization > peak:
+                    peak = utilization
                 byte_integral += rate * duration
                 if rate > 0:
                     busy += duration
-                observed_end = max(observed_end, end)
+                if end > observed_end:
+                    observed_end = end
             window = horizon if horizon and horizon > 0 else observed_end
             out[key] = {
                 "capacity": capacity,
@@ -273,24 +286,35 @@ class FlowRateRecorder:
         )
         self.paths[flow_id] = path
 
-    def _close(self, flow_id: int, now: float) -> None:
-        span = self._open[flow_id]
-        since, rate = span
-        if now > since and rate > 0.0:
-            series = self.segments[flow_id]
-            if series and series[-1][1] == since and series[-1][2] == rate:
-                series[-1][1] = now
-            else:
-                series.append([since, now, rate])
-                self.total_segments += 1
+    def on_rates_applied(self, now: float, changed) -> None:
+        """Close every changed flow's open span at ``now``; open the next.
+
+        ``changed`` is the network's ``(flow id, state, new rate)`` list;
+        flows the recorder never admitted are skipped. A closed span
+        extends the flow's last segment when it continues it at the same
+        rate, so a flow re-granted its rate costs no new segment.
+        """
+        spans = self._open
+        segments = self.segments
+        added = 0
+        for flow_id, _state, rate in changed:
+            span = spans.get(flow_id)
+            if span is None:
+                continue
+            since, held = span
+            if now > since and held > 0.0:
+                series = segments[flow_id]
+                if series and series[-1][1] == since and series[-1][2] == held:
+                    series[-1][1] = now
+                else:
+                    series.append([since, now, held])
+                    added += 1
+            span[0] = now
+            span[1] = rate
+        self.total_segments += added
 
     def on_rate_change(self, flow_id: int, now: float, rate: float) -> None:
-        span = self._open.get(flow_id)
-        if span is None:
-            return
-        self._close(flow_id, now)
-        span[0] = now
-        span[1] = rate
+        self.on_rates_applied(now, ((flow_id, None, rate),))
 
     def on_finished(self, flow_id: int, finish: float) -> Optional[List[List[float]]]:
         """Seal a flow's history; returns its segments (pre-eviction).
@@ -300,7 +324,7 @@ class FlowRateRecorder:
         """
         if flow_id not in self._open:
             return None
-        self._close(flow_id, finish)
+        self.on_rates_applied(finish, ((flow_id, None, 0.0),))
         del self._open[flow_id]
         self._finished.append(flow_id)
         series = self.segments[flow_id]
@@ -378,9 +402,10 @@ class Instrumentation:
         self.task_meta: Dict[Tuple[Optional[str], str], object] = {}
         self.job_arrivals: Dict[str, float] = {}
         self.job_completions: Dict[str, float] = {}
-        #: flow id -> pinned path (Link tuple) from admission until the
-        #: flow_injected event consumes it.
-        self._pending_paths: Dict[int, Tuple] = {}
+        #: Series the per-flow and per-round hooks touch, each resolved
+        #: from the registry on its first use (see _bound), so the registry
+        #: holds the same series as if every call looked it up by name.
+        self._series: Dict[object, object] = {}
         #: Path (the router's cached Link tuple) -> its payload, shared
         #: read-only by every flow and event on that path. Dropped on any
         #: capacity change, since it records capacities.
@@ -409,67 +434,71 @@ class Instrumentation:
             )
         return payload
 
-    # -- engine-facing hooks -------------------------------------------
+    def _bound(self, kind: str, name: str, /, **labels):
+        """The registry's ``kind`` series ``name``, looked up there once.
 
-    def on_flow_injected(self, flow, now: float) -> None:
-        self.registry.counter("flows_injected_total").inc()
-        if self.event_log is not None:
-            path = self._pending_paths.pop(flow.flow_id, None)
-            self.event_log.append(
-                "flow_injected",
-                now,
-                flow_id=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                size=flow.size,
-                group=flow.group_id,
-                index=flow.index_in_group,
-                job=flow.job_id,
-                tag=flow.tag,
-                path=None if path is None else self._payload(path)[1],
+        ``kind`` is ``"counter"``, ``"gauge"`` or ``"histogram"``; a
+        histogram's ``buckets`` go with the labels. Later calls cost one
+        lookup in a table keyed by the name and label values.
+        """
+        key = (name, *labels.values()) if labels else name
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = getattr(self.registry, kind)(
+                name, **labels
             )
+        return series
+
+    # -- engine-facing hooks -------------------------------------------
 
     def on_flow_finished(self, record, now: float) -> None:
         flow = record.flow
-        self.registry.counter("flows_delivered_total").inc()
-        self.registry.counter("flow_bytes_delivered_total").inc(flow.size)
-        self.registry.histogram("flow_completion_seconds").observe(
-            record.completion_time
+        flow_id = flow.flow_id
+        group = flow.group_id
+        finish = record.finish
+        ideal_finish = record.ideal_finish
+        tardiness = None if ideal_finish is None else finish - ideal_finish
+        bound = self._bound
+        bound("counter", "flows_delivered_total").inc()
+        bound("counter", "flow_bytes_delivered_total").inc(flow.size)
+        bound("histogram", "flow_completion_seconds").observe(
+            finish - record.start
         )
-        tardiness = record.tardiness
-        if tardiness is not None and flow.group_id is not None:
-            self.tardiness_series.setdefault(flow.group_id, []).append(
-                (record.finish, tardiness)
+        if tardiness is not None and group is not None:
+            self.tardiness_series.setdefault(group, []).append(
+                (finish, tardiness)
             )
-            self.registry.histogram(
-                "flow_tardiness_seconds", group=flow.group_id
-            ).observe(tardiness)
-        if self.event_log is not None:
-            self.event_log.append(
-                "flow_finished",
-                now,
-                flow_id=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                size=flow.size,
-                group=flow.group_id,
-                index=flow.index_in_group,
-                job=flow.job_id,
-                tag=flow.tag,
-                start=record.start,
-                finish=record.finish,
-                ideal_finish=record.ideal_finish,
-                tardiness=tardiness,
+            bound("histogram", "flow_tardiness_seconds", group=group).observe(
+                tardiness
             )
+        log = self.event_log
+        if log is not None:
+            log.add({
+                "ev": "flow_finished",
+                "t": now,
+                "flow_id": flow_id,
+                "src": flow.src,
+                "dst": flow.dst,
+                "size": flow.size,
+                "group": group,
+                "index": flow.index_in_group,
+                "job": flow.job_id,
+                "tag": flow.tag,
+                "start": record.start,
+                "finish": finish,
+                "ideal_finish": ideal_finish,
+                "tardiness": tardiness,
+            })
         if self.rate_recorder is not None:
-            segments = self.rate_recorder.on_finished(
-                flow.flow_id, record.finish
-            )
-            if self.event_log is not None and segments is not None:
+            segments = self.rate_recorder.on_finished(flow_id, finish)
+            if log is not None and segments is not None:
                 # The recorder's sealed list itself: never mutated again.
-                self.event_log.append(
-                    "flow_rates", now, flow_id=flow.flow_id, segments=segments
-                )
+                log.add({
+                    "ev": "flow_rates",
+                    "t": now,
+                    "flow_id": flow_id,
+                    "segments": segments,
+                })
 
     def on_compute_span(self, span) -> None:
         self.registry.counter("compute_spans_total", device=span.device).inc()
@@ -481,24 +510,30 @@ class Instrumentation:
         # Named distinctly from the ProfiledScheduler's
         # "scheduler_invocations_total" so a shared registry never
         # double-counts when both layers observe the same engine.
-        self.registry.counter("engine_reschedules_total", cause=cause).inc()
-        self.registry.gauge("active_flows").set(active_flows)
-        self.registry.histogram(
+        bound = self._bound
+        bound("counter", "engine_reschedules_total", cause=cause).inc()
+        bound("gauge", "active_flows").set(active_flows)
+        bound(
+            "histogram",
             "scheduler_active_flows",
             buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
         ).observe(active_flows)
         if self.event_log is not None:
-            self.event_log.append(
-                "reschedule", now, cause=cause, active_flows=active_flows
-            )
+            self.event_log.add({
+                "ev": "reschedule",
+                "t": now,
+                "cause": cause,
+                "active_flows": active_flows,
+            })
 
     def on_round(self, now: float, n_events: int, n_finished_flows: int) -> None:
         self.rounds += 1
-        self.registry.counter("engine_rounds_total").inc()
+        bound = self._bound
+        bound("counter", "engine_rounds_total").inc()
         if n_events:
-            self.registry.counter("engine_events_total").inc(n_events)
+            bound("counter", "engine_events_total").inc(n_events)
         if n_finished_flows:
-            self.registry.counter("engine_flow_completions_total").inc(
+            bound("counter", "engine_flow_completions_total").inc(
                 n_finished_flows
             )
 
@@ -521,22 +556,21 @@ class Instrumentation:
         events log a self-contained artifact for critical-path
         extraction (the trace's TaskEvent carries neither).
         """
-        self.registry.counter(
-            "tasks_completed_total", kind=task.kind.value
-        ).inc()
+        kind = task.kind.value
+        self._bound("counter", "tasks_completed_total", kind=kind).inc()
         self.task_meta[(task.job_id, task.task_id)] = task
         if self.event_log is not None:
-            self.event_log.append(
-                "task_finished",
-                now,
-                task=task.task_id,
-                kind=task.kind.value,
-                job=task.job_id,
-                device=task.device,
-                duration=task.duration,
-                deps=list(task.deps),
-                flow_ids=[flow.flow_id for flow in task.flows],
-            )
+            self.event_log.add({
+                "ev": "task_finished",
+                "t": now,
+                "task": task.task_id,
+                "kind": kind,
+                "job": task.job_id,
+                "device": task.device,
+                "duration": task.duration,
+                "deps": list(task.deps),
+                "flow_ids": [flow.flow_id for flow in task.flows],
+            })
 
     def on_fault(self, record: Dict, now: float) -> None:
         """A :class:`repro.faults.FaultInjector` event fired."""
@@ -573,28 +607,40 @@ class Instrumentation:
 
     # -- network-facing hooks (NetworkModel.observer) -------------------
 
-    def on_flow_admitted(self, flow, path, now: float) -> None:
-        """The network pinned ``path`` for a freshly injected flow."""
-        if self.rate_recorder is not None:
-            self.rate_recorder.on_admitted(
-                flow.flow_id, self._payload(path)[0], now
-            )
-        if self.event_log is not None:
-            self._pending_paths[flow.flow_id] = path
+    def on_flow_injected(self, flow, path, now: float) -> None:
+        """The network admitted ``flow`` and pinned ``path`` for it."""
+        self._bound("counter", "flows_injected_total").inc()
+        recorder = self.rate_recorder
+        log = self.event_log
+        if recorder is None and log is None:
+            return
+        key_path, hops = self._payload(path)
+        if recorder is not None:
+            recorder.on_admitted(flow.flow_id, key_path, now)
+        if log is not None:
+            log.add({
+                "ev": "flow_injected",
+                "t": now,
+                "flow_id": flow.flow_id,
+                "src": flow.src,
+                "dst": flow.dst,
+                "size": flow.size,
+                "group": flow.group_id,
+                "index": flow.index_in_group,
+                "job": flow.job_id,
+                "tag": flow.tag,
+                "path": hops,
+            })
 
     def on_rates_applied(self, now: float, changed) -> None:
         """``changed`` is the network's (flow id, state, new rate) list."""
-        recorder = self.rate_recorder
-        if recorder is not None:
-            for flow_id, _state, rate in changed:
-                recorder.on_rate_change(flow_id, now, rate)
+        if self.rate_recorder is not None:
+            self.rate_recorder.on_rates_applied(now, changed)
 
     def on_flow_rerouted(self, flow_id: int, old_path, new_path, now: float) -> None:
         """A fault migrated an in-flight flow onto a new path."""
         self.registry.counter("flows_rerouted_total").inc()
         self.reroutes[flow_id] = self.reroutes.get(flow_id, 0) + 1
-        if flow_id in self._pending_paths:
-            self._pending_paths[flow_id] = new_path
         key_path, hops = self._payload(new_path)
         if self.rate_recorder is not None:
             # The migrated flow restarts at rate 0 on the new path; the

@@ -102,7 +102,16 @@ class JsonlEventLog:
         return self._events
 
     def append(self, ev: str, t: float, **fields) -> None:
-        record = {"ev": ev, "t": t, **fields}
+        """Append the event ``{"ev": ev, "t": t, **fields}``."""
+        self.add({"ev": ev, "t": t, **fields})
+
+    def add(self, record: Dict) -> None:
+        """Append one ready-built record, its ``ev`` and ``t`` keys first.
+
+        The per-flow and per-decision hooks build their records as dict
+        literals and hand them here, which saves the keyword dictionary
+        :meth:`append` receives and the copy it makes of it.
+        """
         self._events.append(record)
         self.total_appended += 1
         if self._stream is not None:
@@ -113,8 +122,9 @@ class JsonlEventLog:
             if self._unflushed >= self._flush_every:
                 self._stream.flush()
                 self._unflushed = 0
-        for callback in self._subscribers:
-            callback(record)
+        if self._subscribers:
+            for callback in self._subscribers:
+                callback(record)
         capacity = self.capacity
         if capacity is not None:
             events = self._events

@@ -17,8 +17,7 @@ agent reconfiguration the decision implies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from ..scheduling.base import Scheduler, SchedulerView
 from .registry import MetricsRegistry
@@ -26,9 +25,11 @@ from .registry import MetricsRegistry
 #: Rates within this relative tolerance count as unchanged.
 _CHURN_REL_TOL = 1e-9
 
+_FLOWS_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+_CHURN_BUCKETS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
-@dataclass(frozen=True)
-class InvocationRecord:
+
+class InvocationRecord(NamedTuple):
     """One profiled ``allocate`` call."""
 
     at: float
@@ -52,8 +53,9 @@ def rate_vector_churn(
     re-counted here.
     """
     changed = 0
+    get = previous.get
     for flow_id, rate in current.items():
-        old = previous.get(flow_id)
+        old = get(flow_id)
         if old == rate:
             continue
         if old is None:
@@ -89,7 +91,13 @@ class ProfiledScheduler(Scheduler):
         self.records: List[InvocationRecord] = []
         self.invocations = 0
         self.total_wall_clock = 0.0
-        self._last_rates: Dict[int, float] = {}
+        #: The previous decision's mapping itself: allocations are never
+        #: mutated once returned (see Scheduler.allocate).
+        self._last_rates: Mapping[int, float] = {}
+        #: cause -> its invocation counter, and the wall-clock, flows and
+        #: churn histograms: bound from the registry on first use.
+        self._by_cause: Dict[str, object] = {}
+        self._histograms = None
         self.name = f"profiled({inner.name})"
 
     @property
@@ -110,7 +118,7 @@ class ProfiledScheduler(Scheduler):
             keep_records=self.keep_records,
             event_log=None,
         )
-        twin._last_rates = dict(self._last_rates)
+        twin._last_rates = self._last_rates
         return twin
 
     def allocate(self, view: SchedulerView) -> Dict[int, float]:
@@ -124,38 +132,43 @@ class ProfiledScheduler(Scheduler):
         self.total_wall_clock += elapsed
         changed = rate_vector_churn(self._last_rates, rates)
         churn = changed / max(1, len(rates))
-        self._last_rates = dict(rates)
+        self._last_rates = rates
 
-        self.registry.counter("scheduler_invocations_total", cause=cause).inc()
-        self.registry.histogram("scheduler_wall_clock_seconds").observe(elapsed)
-        self.registry.histogram(
-            "scheduler_flows_considered",
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-        ).observe(flows)
-        self.registry.histogram(
-            "scheduler_rate_churn",
-            buckets=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-        ).observe(churn)
+        counter = self._by_cause.get(cause)
+        if counter is None:
+            counter = self._by_cause[cause] = self.registry.counter(
+                "scheduler_invocations_total", cause=cause
+            )
+        counter.inc()
+        histograms = self._histograms
+        if histograms is None:
+            registry = self.registry
+            histograms = self._histograms = (
+                registry.histogram("scheduler_wall_clock_seconds"),
+                registry.histogram(
+                    "scheduler_flows_considered", buckets=_FLOWS_BUCKETS
+                ),
+                registry.histogram(
+                    "scheduler_rate_churn", buckets=_CHURN_BUCKETS
+                ),
+            )
+        wall_clocks, sizes, churns = histograms
+        wall_clocks.observe(elapsed)
+        sizes.observe(flows)
+        churns.observe(churn)
         if self.keep_records:
             self.records.append(
-                InvocationRecord(
-                    at=view.now,
-                    cause=cause,
-                    wall_clock=elapsed,
-                    flows_considered=flows,
-                    rates_changed=changed,
-                    churn=churn,
-                )
+                InvocationRecord(view.now, cause, elapsed, flows, changed, churn)
             )
         if self.event_log is not None:
-            self.event_log.append(
-                "scheduler_invocation",
-                view.now,
-                cause=cause,
-                wall_clock=elapsed,
-                flows=flows,
-                churn=churn,
-            )
+            self.event_log.add({
+                "ev": "scheduler_invocation",
+                "t": view.now,
+                "cause": cause,
+                "wall_clock": elapsed,
+                "flows": flows,
+                "churn": churn,
+            })
         return rates
 
     # -- derived views --------------------------------------------------
@@ -177,8 +190,7 @@ class ProfiledScheduler(Scheduler):
 
     def mean_churn(self) -> float:
         hist = self.registry.histogram(
-            "scheduler_rate_churn",
-            buckets=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
+            "scheduler_rate_churn", buckets=_CHURN_BUCKETS
         )
         return hist.mean
 
@@ -192,11 +204,9 @@ class ProfiledScheduler(Scheduler):
                 "scheduler_wall_clock_seconds"
             ).summary(),
             "flows_considered": self.registry.histogram(
-                "scheduler_flows_considered",
-                buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
+                "scheduler_flows_considered", buckets=_FLOWS_BUCKETS
             ).summary(),
             "rate_churn": self.registry.histogram(
-                "scheduler_rate_churn",
-                buckets=(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
+                "scheduler_rate_churn", buckets=_CHURN_BUCKETS
             ).summary(),
         }

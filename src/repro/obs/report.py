@@ -23,27 +23,34 @@ REPORT_VERSION = 1
 
 def _tardiness_summaries(trace: SimulationTrace) -> Dict[str, Dict]:
     """Per-EchelonFlow tardiness stats straight from the flow records."""
-    by_group: Dict[str, Dict] = {}
+    #: group -> [flows, worst tardiness, tardiness sum, last finish].
+    by_group: Dict[str, list] = {}
     for record in trace.flow_records:
         group = record.flow.group_id
-        if group is None or record.tardiness is None:
+        if group is None:
             continue
-        entry = by_group.setdefault(
-            group,
-            {
-                "flows": 0,
-                "worst_tardiness": float("-inf"),
-                "sum_tardiness": 0.0,
-                "last_finish": 0.0,
-            },
-        )
-        entry["flows"] += 1
-        entry["worst_tardiness"] = max(entry["worst_tardiness"], record.tardiness)
-        entry["sum_tardiness"] += record.tardiness
-        entry["last_finish"] = max(entry["last_finish"], record.finish)
-    for entry in by_group.values():
-        entry["mean_tardiness"] = entry["sum_tardiness"] / entry["flows"]
-    return dict(sorted(by_group.items()))
+        tardiness = record.tardiness
+        if tardiness is None:
+            continue
+        entry = by_group.get(group)
+        if entry is None:
+            entry = by_group[group] = [0, float("-inf"), 0.0, 0.0]
+        entry[0] += 1
+        if tardiness > entry[1]:
+            entry[1] = tardiness
+        entry[2] += tardiness
+        if record.finish > entry[3]:
+            entry[3] = record.finish
+    return {
+        group: {
+            "flows": flows,
+            "worst_tardiness": worst,
+            "sum_tardiness": total,
+            "last_finish": last,
+            "mean_tardiness": total / flows,
+        }
+        for group, (flows, worst, total, last) in sorted(by_group.items())
+    }
 
 
 def _flow_aggregates(trace: SimulationTrace) -> Dict:

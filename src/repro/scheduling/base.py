@@ -149,6 +149,16 @@ class Scheduler:
     work_conserving = False
 
     def allocate(self, view: SchedulerView) -> Dict[int, float]:
+        """flow id -> rate for the flows in ``view``.
+
+        Ownership contract: every call returns a mapping of its own,
+        never one an earlier call returned, and never touches it again.
+        Callers treat it as read-only, so holders may keep it as is:
+        :class:`~repro.obs.profiling.ProfiledScheduler` diffs each
+        decision against the previous one without copying it.
+        ``tests/test_allocation_ownership.py`` checks every registered
+        scheduler and wrapper.
+        """
         raise NotImplementedError
 
     def fork(self) -> "Scheduler":

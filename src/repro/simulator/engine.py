@@ -84,8 +84,9 @@ class Engine:
         :class:`repro.obs.instrumentation.Instrumentation` observer; the
         engine notifies it of flow/job lifecycle events and scheduler
         invocations, and installs it as the network model's observer for
-        link-utilization sampling. ``None`` (default) records nothing
-        and costs one attribute check per hook site.
+        admissions, rate changes and link-utilization sampling. ``None``
+        (default) records nothing and costs one attribute check per hook
+        site.
 
         ``sanitizer``: a :class:`repro.check.Sanitizer` (or a
         ``REPRO_CHECK``-style spec string) checking runtime invariants at
@@ -353,8 +354,6 @@ class Engine:
                             )
             else:
                 self._undated.setdefault(flow.group_id, []).append(state)
-        if self.obs is not None:
-            self.obs.on_flow_injected(flow, self.now)
         if self.check is not None:
             self.check.on_flow_injected(state, self.now)
         self._request_reschedule("arrival")

@@ -346,7 +346,7 @@ class NetworkModel:
         self.accounting.watch(flow_id, path)
         self._bucket_add(flow.group_id, flow_id, state)
         if self.observer is not None:
-            self.observer.on_flow_admitted(flow, path, now)
+            self.observer.on_flow_injected(flow, path, now)
         return state
 
     def _retire(self, state: FlowState, finish_time: float) -> None:

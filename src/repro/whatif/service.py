@@ -135,7 +135,16 @@ class WhatIfService:
         self.baseline_makespan = engine.now
         self._baseline_artifacts = RunArtifacts.from_run(self.baseline_trace)
         self._baseline_jct = self._jct_map(engine)
+        #: group id -> the last finish among its members in the baseline
+        #: (see _tardiness_map); empty while the baseline's own is built.
+        self._settled: Dict[str, float] = {}
         self._baseline_tardiness = self._tardiness_map(engine)
+        finishes = self.baseline_trace.actual_finish_times()
+        self._settled = {
+            ef_id: max(finishes[flow.flow_id] for flow in group.flows)
+            for ef_id, group in engine.echelonflows.items()
+            if ef_id in self._baseline_tardiness
+        }
         # Sorted timeline of reusable handles (times strictly increasing).
         self._handle_times: List[float] = [self.genesis.time]
         self._handles: List[StateHandle] = [self.genesis]
@@ -280,11 +289,26 @@ class WhatIfService:
             out[job_id] = engine.job_completion_time(job_id) - arrival
         return out
 
-    @staticmethod
-    def _tardiness_map(engine: Engine) -> Dict[str, float]:
-        finishes = engine.trace.actual_finish_times()
+    def _tardiness_map(
+        self, engine: Engine, when: float = float("-inf")
+    ) -> Dict[str, float]:
+        """Eq. 2 tardiness of every EchelonFlow of ``engine``'s run.
+
+        ``when`` is a variant's intervention time. Its history before
+        ``when`` is the baseline's, so a group whose members all finished
+        before ``when`` in the baseline takes the baseline's value; only
+        the other groups are evaluated on the variant's trace.
+        """
+        settled = self._settled
+        finishes = None
         out: Dict[str, float] = {}
         for ef_id, group in engine.echelonflows.items():
+            last = settled.get(ef_id)
+            if last is not None and last < when:
+                out[ef_id] = self._baseline_tardiness[ef_id]
+                continue
+            if finishes is None:
+                finishes = engine.trace.actual_finish_times()
             try:
                 out[ef_id] = group.tardiness(finishes)
             except (KeyError, ValueError):
@@ -333,7 +357,7 @@ class WhatIfService:
         wall_clock = _time.perf_counter() - started
 
         variant_jct = self._jct_map(variant, extra)
-        variant_tardiness = self._tardiness_map(variant)
+        variant_tardiness = self._tardiness_map(variant, when)
         report: Dict = {}
         if detail == "full":
             report = diff_runs(

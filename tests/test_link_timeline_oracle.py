@@ -94,12 +94,9 @@ class CheckedInstrumentation(Instrumentation):
     def _fresh(self, path):
         return tuple((self.link_names[link.key], link.capacity) for link in path)
 
-    def on_flow_admitted(self, flow, path, now) -> None:
-        super().on_flow_admitted(flow, path, now)
+    def on_flow_injected(self, flow, path, now) -> None:
+        super().on_flow_injected(flow, path, now)
         assert self.rate_recorder.paths[flow.flow_id] == self._fresh(path)
-
-    def on_flow_injected(self, flow, now) -> None:
-        super().on_flow_injected(flow, now)
         key_path = self.rate_recorder.paths[flow.flow_id]
         assert self.event_log.events[-1]["path"] == [list(hop) for hop in key_path]
 
