@@ -16,6 +16,7 @@ artifacts carry them), and surfaces everything through :meth:`report`.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from .config import CheckConfig
@@ -54,8 +55,17 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def attach(self, engine) -> None:
-        """Bind to the engine; picks up the obs event log when present."""
-        self.engine = engine
+        """Bind to the engine; picks up the obs event log when present.
+
+        The engine holds its sanitizer, so the sanitizer holds the engine
+        by a weak proxy: a finished run is freed by reference counting,
+        not left in a cycle for the collector. (An object that cannot be
+        weakly referenced, such as a namespace standing in for an engine,
+        is held as is.)"""
+        try:
+            self.engine = weakref.proxy(engine)
+        except TypeError:
+            self.engine = engine
         obs = getattr(engine, "obs", None)
         self._event_log = getattr(obs, "event_log", None) if obs else None
 

@@ -92,6 +92,13 @@ class FaultInjector:
             if armed is not None:
                 self._armed[id(armed)] = (armed, event)
 
+    def detach(self) -> None:
+        """Let go of the engine once its run is answered for: drop it and
+        the armed events, whose callbacks lead back here, so neither side
+        keeps the other alive. ``fired`` stays readable."""
+        self.engine = None
+        self._armed.clear()
+
     # ------------------------------------------------------------------
 
     def _fire(self, event: FaultEvent) -> None:

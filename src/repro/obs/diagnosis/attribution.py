@@ -122,9 +122,16 @@ def bottleneck_of(flow: FlowFact) -> Optional[Tuple[str, float]]:
 
 
 def overlap_integral(segments, lo: float, hi: float) -> float:
-    """Integral of a piecewise-constant rate over the window [lo, hi]."""
+    """Integral of a piecewise-constant rate over the window [lo, hi].
+
+    ``segments`` are time-ordered, so the scan stops at the first one
+    starting at or after ``hi``: neither it nor any later one overlaps
+    the window.
+    """
     total = 0.0
     for start, end, rate in segments:
+        if start >= hi:
+            break
         left = start if start > lo else lo
         right = end if end < hi else hi
         if right > left:

@@ -16,11 +16,27 @@ topologies we use the equivalent per-link form
 
 The kernels run over link *columns* (dense integer link indices the
 network's residual accounting hands out, see
-:class:`~repro.simulator.allocation.LinkAccounting`): a coflow's load is
-built once per decision as a ``{column: bytes}`` map by :func:`link_load`,
-and :func:`remaining_gamma` evaluates it against any capacity list --
-the full capacities for SEBF ordering, the residual left by earlier
-coflows for pacing.
+:class:`~repro.simulator.allocation.LinkAccounting`), grouped into *link
+sets*. :func:`link_sets` splits a coflow's paths once: a flow's
+*private* columns, which no other flow of the coflow crosses (nor the
+flow itself twice), carry exactly that flow's bytes, and every other
+column is *shared*, carrying the bytes of its crossers. A private set of
+two or more columns is kept whole; a lone private column and a shared
+column are *singles*. :func:`link_load` (or :func:`set_totals`, given a
+split) adds the flows' remaining bytes -- one value per private set,
+one per single -- and :func:`remaining_gamma` evaluates the load against
+any capacity list: the full capacities for SEBF ordering, the residual
+left by earlier coflows for pacing.
+
+Splitting is exact, not an approximation. For bytes ``r >= 0`` the
+quotient ``r / c`` is monotone in ``c`` under IEEE division, so the
+maximum of ``r / c`` over a flow's private columns is ``r / min(c)``
+bit for bit (and for ``r < 0`` every such quotient loses to Gamma's
+floor of 0 either way); a shared column sums its crossers in (flow, path
+position) order, the order a per-column ``{column: bytes}`` accumulation
+used, and Gamma is a maximum, whatever order it visits sets in. A set's
+least capacity (:func:`bottlenecks`) is what the echelon scheduler
+caches per template for the full capacities.
 
 A final work-conserving backfill hands leftover capacity to flows in SEBF
 order so no link idles while a flow wants it.
@@ -28,43 +44,200 @@ order so no link idles while a flow wants it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from array import array
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..core.flow import FlowState
 from ..core.units import EPS
 from ..simulator.allocation import greedy_priority_fill
 from .base import Scheduler, SchedulerView, register_scheduler
 
-#: A load: bytes per link column, in first-crossing order.
-Load = Dict[int, float]
+
+class LinkSets(NamedTuple):
+    """How a list of paths splits into link sets (see the module
+    docstring): the half of a load that holds while the paths hold.
+
+    A load has one entry per single column, then one per private set.
+    ``singles`` holds the shared columns, in the order their second
+    crossings come in, then the lone private columns; ``sets`` the private sets of two or more
+    columns. ``owners`` holds the path owning each lone column, then
+    each set, or is ``None`` when path ``k`` owns set ``k`` for every
+    path (nothing shared, no empty path: the common case). ``crossings``
+    lists the shared columns' crossings as flat ``(entry, path)`` pairs:
+    each adds the path's bytes to that entry, in (path, position) order,
+    so a path crossing a column twice adds twice.
+
+    A split that shares something keeps its integers in arrays: a
+    template holds one per stage, and arrays are objects the cyclic
+    collector neither tracks nor counts towards its next pass.
+    """
+
+    singles: Sequence[int]
+    sets: Tuple[Tuple[int, ...], ...]
+    owners: Optional[Sequence[int]]
+    crossings: Sequence[int]
 
 
-def link_load(remaining: Sequence[float], columns: Sequence[Sequence[int]]) -> Load:
-    """Remaining bytes per link column over a set of flows.
+#: A load: bytes per single column, then per private set, and the split
+#: they follow.
+Load = Tuple[List[float], LinkSets]
+
+#: A split's least capacities (:func:`bottlenecks`): one per entry of a
+#: load, parallel to its bytes, or one capacity standing for them all.
+Floors = Union[float, Tuple[float, ...]]
+
+_INF = float("inf")
+
+
+def link_sets(columns: Sequence[Tuple[int, ...]]) -> LinkSets:
+    """Split paths (``columns[i]`` is path ``i`` as link columns) into
+    single columns and private sets."""
+    flat = [column for path in columns for column in path]
+    if len(set(flat)) == len(flat) and all(columns):
+        return LinkSets((), tuple(columns), None, ())
+    # Each column's first crossing path; a column crossed again (by
+    # another path or the same one) is shared, its entry numbered in
+    # order of its second crossing.
+    first: Dict[int, int] = {}
+    shared: Dict[int, int] = {}
+    crossings: List[int] = []
+    for index, path in enumerate(columns):
+        for column in path:
+            if column not in first:
+                first[column] = index
+                continue
+            entry = shared.get(column)
+            if entry is None:
+                entry = shared[column] = len(shared)
+                crossings += (entry, first[column])
+            crossings += (entry, index)
+    singles = list(shared)
+    owners: List[int] = []
+    sets: List[Tuple[int, ...]] = []
+    set_owners: List[int] = []
+    # A path's private columns are first crossed by that path, so they
+    # form one run of the first-crossing order (shared columns skipped);
+    # a sentinel ends the last run.
+    private: List[int] = []
+    owner = -1
+    start = 0
+    for column, index in chain(first.items(), ((-1, -1),)):
+        if column in shared:
+            continue
+        if index != owner:
+            run = len(private) - start
+            if run > 1:
+                set_owners.append(owner)
+                sets.append(tuple(private[start:]))
+            elif run:
+                owners.append(owner)
+                singles.append(private[start])
+            owner = index
+            start = len(private)
+        private.append(column)
+    owners += set_owners
+    return LinkSets(
+        array("l", singles), tuple(sets), array("l", owners), array("l", crossings)
+    )
+
+
+def set_totals(plan: LinkSets, remaining: List[float]) -> List[float]:
+    """Bytes per single column, then per private set, of the paths
+    ``plan`` split when path ``i`` has ``remaining[i]`` bytes left
+    (``remaining`` itself when each path owns its own set)."""
+    owners = plan.owners
+    if owners is None:
+        return remaining
+    crossings = plan.crossings
+    if not crossings:
+        return [remaining[index] for index in owners]
+    totals = [0.0] * (len(plan.singles) + len(plan.sets) - len(owners))
+    pairs = iter(crossings)
+    for entry, index in zip(pairs, pairs):
+        totals[entry] += remaining[index]
+    totals += [remaining[index] for index in owners]
+    return totals
+
+
+def link_load(remaining: List[float], columns: Sequence[Tuple[int, ...]]) -> Load:
+    """Remaining bytes per link set over a set of flows.
 
     ``remaining[i]`` and ``columns[i]`` are flow ``i``'s bytes left and
-    path as link columns. Bytes accumulate in (flow, path position)
-    order, so a flow crossing a link twice counts twice and every build
-    of the same load is bit-identical.
+    path as link columns. A shared column's bytes accumulate in (flow,
+    path position) order, so a flow crossing a link twice counts twice
+    and every build of the same load is bit-identical.
     """
-    load: Load = {}
-    for left, path in zip(remaining, columns):
-        for column in path:
-            load[column] = load.get(column, 0.0) + left
-    return load
+    plan = link_sets(columns)
+    return set_totals(plan, remaining), plan
 
 
-def remaining_gamma(load: Load, capacities: Sequence[float]) -> float:
+def bottlenecks(plan: LinkSets, capacities: Sequence[float]) -> Floors:
+    """Each single column's capacity, then each private set's least
+    capacity; just the one capacity when they are all equal (a uniform
+    fabric)."""
+    floors = [capacities[column] for column in plan.singles]
+    for columns in plan.sets:
+        least = capacities[columns[0]]
+        for column in columns:
+            capacity = capacities[column]
+            if capacity < least:
+                least = capacity
+        floors.append(least)
+    if len(set(floors)) == 1:
+        return float(floors[0])
+    return tuple(floors)
+
+
+def remaining_gamma(
+    load: Load,
+    capacities: Sequence[float],
+    floors: Optional[Floors] = None,
+) -> float:
     """Bottleneck completion time of a load on (residual) capacities.
 
-    ``inf`` when some needed link has no residual capacity at all.
+    ``floors``, when given, are the load's :func:`bottlenecks` on
+    ``capacities`` already (a template's cached minima); otherwise each
+    set's least capacity is found here. ``inf`` when some needed link
+    has no residual capacity at all.
     """
+    totals, plan = load
     gamma = 0.0
-    for column, total in load.items():
+    if floors.__class__ is float:
+        # One capacity for every entry: ``t / c`` is monotone in ``t``.
+        if not totals:
+            return gamma
+        if floors <= EPS:
+            return _INF
+        gamma = max(totals) / floors
+        return gamma if gamma > 0.0 else 0.0
+    if floors is not None:
+        for capacity, total in zip(floors, totals):
+            if capacity <= EPS:
+                return _INF
+            ratio = total / capacity
+            if ratio > gamma:
+                gamma = ratio
+        return gamma
+    # Singles, then sets, each pulling its bytes from one iterator over
+    # ``totals`` (zip asks the plan's side first, so it stops cleanly).
+    left = iter(totals)
+    for column, total in zip(plan.singles, left):
         capacity = capacities[column]
         if capacity <= EPS:
-            return float("inf")
+            return _INF
         ratio = total / capacity
+        if ratio > gamma:
+            gamma = ratio
+    for columns, total in zip(plan.sets, left):
+        least = capacities[columns[0]]
+        for column in columns:
+            capacity = capacities[column]
+            if capacity < least:
+                least = capacity
+        if least <= EPS:
+            return _INF
+        ratio = total / least
         if ratio > gamma:
             gamma = ratio
     return gamma

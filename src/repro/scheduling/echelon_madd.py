@@ -40,33 +40,46 @@ orderings are provided for ablation E12/E23.
 flows in schedule order, so pacing never idles a link that has demand.
 
 **Kernels.** What a decision derives from a group's *shape* -- stage
-deadlines, the stage partition, flow ids and link-column tuples -- is
-kept across decisions as one immutable template per network bucket,
-keyed by the bucket's revision token
-(:meth:`~repro.simulator.network.NetworkModel.group_token`) and the
-EchelonFlow's ``(reference_time, weight, job_id)``; it is rebuilt only
-when that key changes and dropped once the bucket is gone. A decision
-then makes one pass per stage: it reads ``remaining`` by bucket
-position, builds the stage's ``{column: bytes}`` load
-(:func:`~repro.scheduling.coflow_madd.link_load`) and, for the orderings
-that rank by projected tardiness, evaluates
-:func:`~repro.scheduling.coflow_madd.remaining_gamma` on the full
-capacities. The pass yields one flat record per group, which every
-ordering sorts by its key. Pacing evaluates Gamma again on the residual;
-pacing and the backfill
+deadlines, the stage partition, flow ids, link-column tuples, each
+stage's split into link sets
+(:func:`~repro.scheduling.coflow_madd.link_sets`) and each set's least
+full capacity -- is kept across decisions as one immutable template per
+network bucket, keyed by the bucket's revision token
+(:meth:`~repro.simulator.network.NetworkModel.group_token`), the
+EchelonFlow's ``(reference_time, weight, job_id)`` and the network's
+``capacity_epoch``; a changed key rebuilds only the stages whose
+members or paths changed, and a bucket that is gone is dropped. A
+decision then makes one pass per stage: it reads ``remaining`` by bucket
+position, sums it per link set
+(:func:`~repro.scheduling.coflow_madd.set_totals`: one value per flow
+plus the few shared columns) and, for the orderings that rank by
+projected tardiness, evaluates
+:func:`~repro.scheduling.coflow_madd.remaining_gamma` on the cached
+full-capacity minima. The pass yields one flat record per group, which
+every ordering sorts by its key. Pacing evaluates Gamma again on each
+set's least residual; pacing and the backfill
 (:func:`~repro.simulator.allocation.greedy_priority_fill`) update one
 column-indexed residual list.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.echelonflow import EchelonFlow
 from ..core.flow import FlowState
 from ..simulator.allocation import greedy_priority_fill
 from .base import Scheduler, SchedulerView, register_scheduler
-from .coflow_madd import link_load, remaining_gamma
+from .coflow_madd import (
+    Floors,
+    LinkSets,
+    bottlenecks,
+    link_load,
+    link_sets,
+    remaining_gamma,
+    set_totals,
+)
 
 #: Inter-EchelonFlow ordering policies (ablation E12).
 ORDERINGS = ("tardiness", "projected", "hybrid", "tardiness-asc", "sebf", "fifo")
@@ -81,15 +94,28 @@ _INF = float("inf")
 _PROJECTED = ("hybrid", "projected", "tardiness-asc")
 
 
+#: One stage of a template: ``(deadline, flow_ids, positions, columns,
+#: plan, floors)``. The stage's flow ids, their positions in the
+#: network's bucket (where a decision reads ``remaining``) and their
+#: paths as link columns, all fid-ordered; the paths' link sets
+#: (:func:`~repro.scheduling.coflow_madd.link_sets`) and their least full
+#: capacities at the template's capacity epoch.
+_Stage = Tuple[
+    float,
+    Tuple[int, ...],
+    Tuple[int, ...],
+    Tuple[Tuple[int, ...], ...],
+    LinkSets,
+    Floors,
+]
+
+
 class _Template(NamedTuple):
     """The decision-invariant shape of one EchelonFlow (or one ungrouped
-    flow): everything a decision derives from bucket membership, paths and
-    the EchelonFlow's ``(reference_time, weight, job_id)``.
+    flow): everything a decision derives from bucket membership, paths,
+    capacities and the EchelonFlow's ``(reference_time, weight, job_id)``.
 
-    ``stages`` holds one ``(deadline, flow_ids, positions, columns)``
-    tuple per stage, in deadline order: the stage's flow ids, their
-    positions in the network's bucket (where a decision reads
-    ``remaining``) and their paths as link columns, all fid-ordered.
+    ``stages`` holds one ``_Stage`` per stage, in deadline order.
     """
 
     group_id: str
@@ -99,7 +125,34 @@ class _Template(NamedTuple):
     #: agent registration); ungrouped flows are best-effort.
     registered: bool
     earliest: float
-    stages: Tuple[Tuple[float, Tuple[int, ...], Tuple[int, ...], Tuple], ...]
+    stages: Tuple[_Stage, ...]
+
+
+def _stage(
+    deadline: float,
+    flow_ids: Tuple[int, ...],
+    positions: Tuple[int, ...],
+    old: Optional[_Stage],
+    columns_of,
+    capacities: Sequence[float],
+    floors_valid: bool,
+) -> _Stage:
+    """One stage of a rebuilt template. It keeps ``old``'s link sets when
+    ``old`` has the same deadline, flow ids and paths, and its floors too
+    when ``floors_valid``; otherwise the paths are split again."""
+    columns = tuple([columns_of(flow_id) for flow_id in flow_ids])
+    if (
+        old is not None
+        and old[0] == deadline
+        and old[1] == flow_ids
+        and old[3] == columns
+    ):
+        plan = old[4]
+        if floors_valid:
+            return (deadline, flow_ids, positions, columns, plan, old[5])
+    else:
+        plan = link_sets(columns)
+    return (deadline, flow_ids, positions, columns, plan, bottlenecks(plan, capacities))
 
 
 def _lateness(template: _Template, now: float) -> float:
@@ -196,9 +249,21 @@ class EchelonMaddScheduler(Scheduler):
         # on purpose); work conservation comes from the backfill pass.
         self.work_conserving = backfill
         #: group id -> (key, templates) of every bucket seen at the last
-        #: decision; the key is the bucket's revision token plus its
-        #: EchelonFlow's ``(reference_time, weight, job_id)``.
+        #: decision; the key is the bucket's revision token, the
+        #: network's ``capacity_epoch`` and the EchelonFlow's
+        #: ``reference_time``, ``weight`` and ``job_id``.
         self._templates: Dict[Optional[str], Tuple] = {}
+        #: The capacity list every template's floors were read from.
+        self._capacities: Optional[List[float]] = None
+
+    def fork(self) -> "EchelonMaddScheduler":
+        """A copy that shares the parent's templates instead of copying
+        them: they are immutable, and a forked network keeps the bucket
+        tokens, column numbering, capacities and capacity epoch they were
+        keyed on, until it changes one of them."""
+        twin = copy.copy(self)
+        twin._templates = dict(self._templates)
+        return twin
 
     # ------------------------------------------------------------------
 
@@ -229,12 +294,24 @@ class EchelonMaddScheduler(Scheduler):
         flow_ids: List[int],
         echelonflow: Optional[EchelonFlow],
         columns_of,
+        capacities: Sequence[float],
+        previous: Tuple[_Template, ...],
+        floors_valid: bool,
     ) -> Tuple[_Template, ...]:
         """One bucket's templates: a single template for an EchelonFlow
         bucket, one singleton template per flow for the ungrouped
-        (``None``) bucket."""
+        (``None``) bucket.
+
+        A stage of ``previous`` (the bucket's last templates) with the
+        same deadline, flow ids and paths keeps its link sets, and its
+        floors too when ``floors_valid`` (same capacities and epoch);
+        only its positions are re-read.
+        """
         deadlines = self._deadlines(states, echelonflow)
         if group_id is None:
+            old_stages = {
+                template.stages[0][1][0]: template.stages[0] for template in previous
+            }
             return tuple(
                 _Template(
                     f"_flow{flow_id}",
@@ -242,7 +319,17 @@ class EchelonMaddScheduler(Scheduler):
                     1.0,
                     False,
                     deadline,
-                    ((deadline, (flow_id,), (position,), (columns_of(flow_id),)),),
+                    (
+                        _stage(
+                            deadline,
+                            (flow_id,),
+                            (position,),
+                            old_stages.get(flow_id),
+                            columns_of,
+                            capacities,
+                            floors_valid,
+                        ),
+                    ),
                 )
                 for position, (flow_id, state, deadline) in enumerate(
                     zip(flow_ids, states, deadlines)
@@ -254,12 +341,16 @@ class EchelonMaddScheduler(Scheduler):
             if positions is None:
                 positions = members[deadline] = []
             positions.append(position)
+        old_stages = {old[0]: old for old in previous[0].stages} if previous else {}
         stages = tuple(
-            (
+            _stage(
                 deadline,
                 tuple([flow_ids[p] for p in positions]),
                 tuple(positions),
-                tuple([columns_of(flow_ids[p]) for p in positions]),
+                old_stages.get(deadline),
+                columns_of,
+                capacities,
+                floors_valid,
             )
             for deadline, positions in sorted(members.items())
         )
@@ -273,21 +364,25 @@ class EchelonMaddScheduler(Scheduler):
         """This decision's groups in service order, as
         ``(template, value, stages)`` records.
 
-        Each stage is ``(deadline, flow_ids, remaining, columns, load)``:
-        one pass per stage reads ``remaining`` by bucket position, builds
-        the load and, for the orderings that read it, evaluates Gamma on
-        the full capacities. ``value`` is the group's projected tardiness
-        (``max_g (now + Gamma_g - d_g)``, ``inf`` once a stage is
-        blocked) or, under ``"sebf"``, the whole group's bottleneck.
-        Templates are rebuilt only for buckets whose key changed, and
-        forgotten once their bucket is gone.
+        Each stage is ``(deadline, flow_ids, remaining, columns, totals,
+        plan)``, ``(totals, plan)`` being its load: one pass per stage
+        reads ``remaining`` by bucket position, sums it per link set and,
+        for the orderings that read it, evaluates Gamma on the template's
+        full-capacity floors. ``value`` is the
+        group's projected tardiness (``max_g (now + Gamma_g - d_g)``,
+        ``inf`` once a stage is blocked) or, under ``"sebf"``, the whole
+        group's bottleneck. Templates are rebuilt only for buckets whose
+        key changed, and forgotten once their bucket is gone.
         """
         now = view.now
         ordering = self.ordering
         projected = ordering in _PROJECTED
         network = view.network
         echelonflows = view.echelonflows
+        epoch = network.capacity_epoch
         cached = self._templates
+        same_capacities = capacities is self._capacities
+        self._capacities = capacities
         kept: Dict[Optional[str], Tuple] = {}
         records: List[Tuple] = []
         # The network's buckets come sorted by group id with ungrouped
@@ -298,10 +393,10 @@ class EchelonMaddScheduler(Scheduler):
             )
             token = network.group_token(group_id)
             if echelonflow is None:
-                key = (token, None)
+                key = (token, epoch, None, None, None)
             else:
                 ef = echelonflow
-                key = (token, (ef.reference_time, ef.weight, ef.job_id))
+                key = (token, epoch, ef.reference_time, ef.weight, ef.job_id)
             entry = cached.get(group_id)
             if entry is None or entry[0] != key:
                 entry = (
@@ -312,31 +407,39 @@ class EchelonMaddScheduler(Scheduler):
                         network.group_flow_ids(group_id),
                         echelonflow,
                         network.columns,
+                        capacities,
+                        () if entry is None else entry[1],
+                        same_capacities
+                        and entry is not None
+                        and entry[0][1] == epoch,
                     ),
                 )
             kept[group_id] = entry
             for template in entry[1]:
                 stages = []
                 value = -_INF
-                for deadline, flow_ids, positions, columns in template.stages:
+                for stage in template.stages:
+                    deadline, flow_ids, positions, columns, plan, floors = stage
                     remaining = [states[p].remaining for p in positions]
-                    load = link_load(remaining, columns)
-                    stages.append((deadline, flow_ids, remaining, columns, load))
+                    totals = set_totals(plan, remaining)
+                    stages.append(
+                        (deadline, flow_ids, remaining, columns, totals, plan)
+                    )
                     if projected and value != _INF:
-                        gamma = remaining_gamma(load, capacities)
+                        gamma = remaining_gamma((totals, plan), capacities, floors)
                         if gamma == _INF:
                             value = _INF
                         else:
                             value = max(value, now + gamma - deadline)
                 if ordering == "sebf":
-                    if len(stages) == 1:
-                        load = stages[0][4]
+                    if len(stages) == 1:  # the one stage's load and floors
+                        value = remaining_gamma((totals, plan), capacities, floors)
                     else:
                         load = link_load(
                             [left for stage in stages for left in stage[2]],
                             [path for stage in stages for path in stage[3]],
                         )
-                    value = remaining_gamma(load, capacities)
+                        value = remaining_gamma(load, capacities)
                 records.append((template, value, stages))
         self._templates = kept
 
@@ -398,10 +501,10 @@ class EchelonMaddScheduler(Scheduler):
         fill_ids: List[int] = []
         fill_columns: List[Tuple[int, ...]] = []
         for _template, _value, stages in self._rank(view, capacities):
-            for deadline, flow_ids, remaining, columns, load in stages:
+            for deadline, flow_ids, remaining, columns, totals, plan in stages:
                 fill_ids.extend(flow_ids)
                 fill_columns.extend(columns)
-                gamma = remaining_gamma(load, residual)
+                gamma = remaining_gamma((totals, plan), residual)
                 if gamma == _INF:
                     for flow_id in flow_ids:
                         rates[flow_id] = 0.0

@@ -108,20 +108,21 @@ def _all_shortest_paths(
     if src not in nexts:
         raise RoutingError(f"no path from {src!r} to {dst!r}")
     paths: List[Tuple[str, ...]] = []
-
-    def extend(path: List[str]) -> None:
-        node = path[-1]
-        if node == dst:
-            paths.append(tuple(path))
-            return
-        for nxt in nexts[node]:
-            if len(paths) >= limit:
-                return
-            path.append(nxt)
-            extend(path)
+    # Depth-first over the DAG with an explicit stack of next-hop
+    # iterators (one per node of ``path``), so nothing here forms a
+    # reference cycle for the collector to find.
+    path = [src]
+    stack = [iter(nexts[src])]
+    while stack and len(paths) < limit:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
             path.pop()
-
-    extend([src])
+        elif nxt == dst:
+            paths.append((*path, nxt))
+        else:
+            path.append(nxt)
+            stack.append(iter(nexts[nxt]))
     return paths
 
 

@@ -354,6 +354,12 @@ class WhatIfService:
                 f"{exc} (a kill_link that permanently partitions the fabric "
                 "deadlocks the cluster -- add '+duration' to restore the link)"
             ) from exc
+        finally:
+            # A fault injector and its engine point at each other: unbind
+            # them so reference counting frees the variant once this
+            # returns.
+            if variant.faults is not None:
+                variant.faults.detach()
         wall_clock = _time.perf_counter() - started
 
         variant_jct = self._jct_map(variant, extra)

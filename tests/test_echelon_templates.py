@@ -1,11 +1,15 @@
 """Oracle for the echelon scheduler's per-bucket stage templates.
 
 A long-lived :class:`EchelonMaddScheduler` keeps each network bucket's
-stage template across decisions and rebuilds it only when the bucket's
-revision token or its EchelonFlow's ``(reference_time, weight, job_id)``
-changes. The oracle is a fresh scheduler built for every decision, which
-has nothing cached: both must return equal rate dicts (``==``, so bit for
-bit) on a seeded run that churns every input the key has to catch.
+stage template across decisions -- with each stage's link sets and their
+least full capacities -- and rebuilds it only when the bucket's revision
+token, the network's ``capacity_epoch`` or its EchelonFlow's
+``(reference_time, weight, job_id)`` changes. The oracle is a fresh
+scheduler built for every decision, which has nothing cached: both must
+return equal rate dicts (``==``, so bit for bit) on a seeded run that
+churns every input the key has to catch, including a capacity change
+that touches no bucket, before and after a fork that shares the
+templates.
 """
 
 import random
@@ -97,6 +101,19 @@ class _Run:
         group.weight = weight
         self.echelonflows[group_id] = group
 
+    def degrade(self):
+        """Change the capacity of a link under an active flow, without
+        rerouting anything: no bucket changes, only the capacities."""
+        keys = sorted(
+            link.key
+            for state in self.network.active_states()
+            for link in self.network.path(state.flow.flow_id)
+            if link.key != self.down
+        )
+        if keys:
+            key = self.rng.choice(keys)
+            self.network.set_link_capacity(key, CAPACITY * self.rng.uniform(0.2, 1.5))
+
     def link_down(self):
         """Restore the link downed last, if any, then down one fabric link
         under an active flow and reroute the flows crossing it."""
@@ -153,6 +170,8 @@ class _Run:
             self.register("g3", self.rng.choice((1.0, 2.5)))
         elif roll < 0.53:
             self.link_down()
+        elif roll < 0.6:
+            self.degrade()
         self.decide()
 
 
@@ -200,6 +219,9 @@ def test_long_lived_scheduler_equals_fresh_one(config):
     parent.decide()
     parent.reweight("g2", 0.5)
     parent.decide()
+    # A capacity change between two decisions and nothing else.
+    parent.degrade()
+    parent.decide()
 
     # Fork mid-run; each side then gets its own inputs.
     child = _Run(
@@ -209,11 +231,15 @@ def test_long_lived_scheduler_equals_fresh_one(config):
         config,
         random.Random(99),
     )
+    # The fork starts from the parent's templates, then degrades a link
+    # of its own: the shared templates' minima no longer hold there.
+    child.degrade()
+    child.decide()
     for _ in range(25):
         parent.step()
         child.step()
 
-    assert parent.decisions + child.decisions == 79
+    assert parent.decisions + child.decisions == 81
     bucket_decisions = parent.bucket_decisions + child.bucket_decisions
     # Templates were reused: far fewer builds than bucket-decisions.
     assert _Counting.builds < bucket_decisions / 2

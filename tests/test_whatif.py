@@ -18,7 +18,9 @@ tag) so the assertions hold even if allocators number two builds
 differently.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -405,6 +407,34 @@ def test_permanent_partition_is_rejected(service):
 def test_unknown_link_is_rejected(service):
     with pytest.raises(WhatIfError, match="unknown link"):
         service.run_query("kill_link:h1-nowhere@30%+0.1")
+
+
+@pytest.mark.parametrize(
+    "spec", ["kill_link:h1-core@30%+25%", "degrade_link:h1-core@25%+40%,factor=0.3"]
+)
+def test_link_query_variant_is_freed_by_reference_counting(service, spec, monkeypatch):
+    # The fault injector and the variant engine point at each other while
+    # the variant runs; run_query must unbind them, so the variant goes
+    # with its last reference and never waits for the cyclic collector.
+    variants = []
+    fork_at = service.fork_at
+
+    def recording_fork_at(when):
+        variant = fork_at(when)
+        variants.append(weakref.ref(variant))
+        return variant
+
+    monkeypatch.setattr(service, "fork_at", recording_fork_at)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = service.run_query(spec, detail="deltas")
+        assert len(variants) == 1
+        assert variants[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert result.variant_makespan > 0
 
 
 # ---------------------------------------------------------------------------
