@@ -9,8 +9,8 @@ bars enforced on every pass mirror the ISSUE 10 acceptance criteria:
   and degraded-mode scheduling never stall a flow);
 * **bounded inflation** -- per-scenario JCT inflation stays at or below
   ``INFLATION_BOUND`` (1.5x) over the fault-free baseline;
-* **bit-identity** -- the identity-channel baseline produces a trace
-  digest equal to the direct in-process path, byte for byte;
+* **bit-identity** -- the identity-channel baseline reproduces the
+  pinned trace digest (``chaos.BASELINE_DIGEST``), byte for byte;
 * **determinism** -- every scenario digests identically when re-run
   with the same ``(spec, seed)``.
 
@@ -82,7 +82,7 @@ def check_suite(report: dict) -> list:
         if not row.get("bit_identical", True):
             problems.append(
                 f"{name}: identity-channel digest differs from the "
-                "direct in-process path"
+                "pinned baseline digest"
             )
     return problems
 

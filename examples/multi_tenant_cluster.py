@@ -24,6 +24,7 @@ from repro.scheduling import (
     EchelonMaddScheduler,
     FairSharingScheduler,
 )
+from repro.system import ControlPlaneRuntime
 from repro.workloads import build_dp_allreduce, build_fsdp, build_pp_gpipe
 
 
@@ -74,9 +75,8 @@ def main():
         ("echelon (default)", EchelonMaddScheduler()),
         ("echelon (protective)", EchelonMaddScheduler(ordering="tardiness")),
     ):
-        run = run_cluster(
-            topology(), make_jobs(), coordinator=Coordinator(algorithm=algorithm)
-        )
+        runtime = ControlPlaneRuntime(coordinator=Coordinator(algorithm=algorithm))
+        run = run_cluster(topology(), make_jobs(), runtime=runtime)
         jcts = run.job_completion_times()
         rows.append(
             [

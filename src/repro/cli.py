@@ -1242,7 +1242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run the scored control-plane chaos suite: crash/partition/"
         "noise scenarios graded on completion, JCT inflation, "
-        "determinism, and identity-channel bit-identity "
+        "determinism, and the baseline's pinned trace digest "
         "(see docs/control_plane.md)",
     )
     chaos.add_argument(

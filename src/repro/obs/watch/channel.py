@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Record kinds the channel never degrades and never spends RNG on:
@@ -210,18 +210,7 @@ class TelemetryChannel:
         seed: Optional[int] = None,
     ) -> None:
         if isinstance(spec, NoiseSpec):
-            base = spec
-            if seed is not None:
-                base = NoiseSpec(
-                    sample=spec.sample,
-                    drop=spec.drop,
-                    burst=spec.burst,
-                    burst_len=spec.burst_len,
-                    delay=spec.delay,
-                    dup=spec.dup,
-                    seed=seed,
-                )
-            self.spec = base
+            self.spec = spec if seed is None else replace(spec, seed=seed)
         else:
             self.spec = parse_noise_spec(spec, seed)
         self._rng = random.Random(self.spec.seed)

@@ -2,7 +2,7 @@
 
 from .agent import EchelonFlowAgent
 from .backend import QueueEnforcedScheduler, allocation_error, quantize_to_queue
-from .coordinator import CoordinatedScheduler, Coordinator
+from .coordinator import Coordinator
 from .framework import ClusterRun, FrameworkInstance, run_cluster
 from .messages import (
     ArrangementDescriptor,
@@ -17,15 +17,12 @@ from .runtime import (
     ControlPlaneScheduler,
     RpcChannel,
     RpcSpec,
-    RuntimeAgent,
     run_chaos_suite,
-    run_control_cluster,
 )
 
 __all__ = [
     "EchelonFlowAgent",
     "Coordinator",
-    "CoordinatedScheduler",
     "QueueEnforcedScheduler",
     "quantize_to_queue",
     "allocation_error",
@@ -40,9 +37,7 @@ __all__ = [
     "QueueAssignment",
     "ControlPlaneRuntime",
     "ControlPlaneScheduler",
-    "RuntimeAgent",
     "RpcChannel",
     "RpcSpec",
-    "run_control_cluster",
     "run_chaos_suite",
 ]

@@ -1,9 +1,11 @@
 """The EchelonFlow Agent: a shim between frameworks and backends (Fig. 7).
 
 Inspired by ByteScheduler, the agent sits under the DDLT framework: it
-receives EchelonFlow registrations through the EchelonFlow API, forwards
-them to the coordinator, and enforces the returned allocations by placing
-flow data into weighted priority queues of the message-passing backend.
+receives EchelonFlow registrations through the EchelonFlow API and
+forwards them to the coordinator over the control plane
+(:class:`~repro.system.runtime.ControlPlaneRuntime`); the backends
+enforce the returned allocations through weighted priority queues
+(:class:`~repro.system.QueueEnforcedScheduler`).
 
 One agent serves one framework instance (one job); a cluster run has many
 agents sharing one coordinator, which is how EchelonFlow coordinates
@@ -12,34 +14,38 @@ agents sharing one coordinator, which is how EchelonFlow coordinates
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Tuple
 
 from ..core.echelonflow import EchelonFlow
-from ..core.flow import Flow
-from .backend import quantize_to_queue, queue_weight
-from .coordinator import Coordinator
-from .messages import (
-    ArrangementDescriptor,
-    EchelonFlowRequest,
-    FlowInfo,
-    QueueAssignment,
-)
+from .messages import ArrangementDescriptor, EchelonFlowRequest, FlowInfo
 
 
 class EchelonFlowAgent:
-    """Per-framework shim exposing the EchelonFlow API."""
+    """Per-framework agent process speaking to the coordinator over RPC.
 
-    def __init__(
-        self,
-        framework: str,
-        coordinator: Coordinator,
-        num_queues: int = 8,
-    ) -> None:
+    Built by :meth:`ControlPlaneRuntime.spawn_agent`, which owns the
+    channel, the leases and the coordinator this agent reports to.
+    """
+
+    def __init__(self, framework: str, runtime) -> None:
         self.framework = framework
-        self.coordinator = coordinator
-        self.num_queues = num_queues
+        self.runtime = runtime
+        #: Process liveness (flipped by crash_agent / agent_restore).
+        self.up = True
+        #: Control-network reachability (partition_control with a target).
+        self.partitioned = False
+        #: True while the coordinator considers this agent dead.
+        self.quarantined = False
+        #: Sim-time the current liveness lease runs out (None = no lease yet).
+        self.lease_expires: Optional[float] = None
+        #: Coordinator epoch this agent last synced its state against;
+        #: -1 forces a full resync on the next delivered heartbeat.
+        self.synced_epoch = 0
+        #: ef_id -> (request, live EchelonFlow), kept for resync when the
+        #: control plane can fail.
+        self.records: Dict[str, Tuple[EchelonFlowRequest, EchelonFlow]] = {}
+        #: ef_id -> the object scheduling consults.
         self.registered: Dict[str, EchelonFlow] = {}
-        self.enqueue_log: List[QueueAssignment] = []
 
     # -- EchelonFlow API (called by the framework adapter) --------------
 
@@ -73,25 +79,10 @@ class EchelonFlowAgent:
             ),
             flows=flows,
         )
-        registered = self.coordinator.register(request)
-        # The coordinator's object must see the same member flows the
-        # framework will emit.
-        for flow in echelonflow.flows:
-            registered.add_flow(flow)
+        registered = self.runtime.register(self, request, echelonflow)
         self.registered[echelonflow.ef_id] = registered
         return registered
 
-    # -- enforcement (called when allocations arrive) --------------------
-
-    def enqueue(self, flow: Flow, rate: float, egress_capacity: float) -> QueueAssignment:
-        """Place a flow's data into the priority queue matching its rate."""
-        share = rate / egress_capacity if egress_capacity > 0 else 0.0
-        queue = quantize_to_queue(share, self.num_queues)
-        assignment = QueueAssignment(
-            flow_id=flow.flow_id,
-            host=flow.src,
-            queue=queue,
-            weight=queue_weight(queue),
-        )
-        self.enqueue_log.append(assignment)
-        return assignment
+    @property
+    def ef_ids(self) -> Tuple[str, ...]:
+        return tuple(self.records)

@@ -71,34 +71,3 @@ class Coordinator:
         )
         return rates
 
-
-class CoordinatedScheduler(Scheduler):
-    """Adapter presenting a :class:`Coordinator` as an engine scheduler.
-
-    The coordinator's own EchelonFlow registry (populated by agent
-    requests) overrides the engine-side registry, demonstrating that the
-    control plane of Fig. 7 carries all information scheduling needs.
-    """
-
-    name = "coordinated"
-
-    def __init__(self, coordinator: Coordinator) -> None:
-        self.coordinator = coordinator
-
-    @property
-    def work_conserving(self) -> bool:
-        """Inherited from the coordinator's scheduling heuristic."""
-        return getattr(self.coordinator.algorithm, "work_conserving", False)
-
-    def allocate(self, view: SchedulerView) -> Dict[int, float]:
-        merged = dict(view.echelonflows)
-        merged.update(self.coordinator.echelonflows)
-        coordinator_view = SchedulerView(
-            now=view.now,
-            network=view.network,
-            echelonflows=merged,
-            trigger_cause=view.trigger_cause,
-            injected_flows=view.injected_flows,
-            departed_flows=view.departed_flows,
-        )
-        return self.coordinator.allocate(coordinator_view)

@@ -7,13 +7,14 @@ the framework role: it reports every EchelonFlow through its agent (rather
 than registering directly with the engine) and then launches the job.
 
 :func:`run_cluster` is the whole Fig. 7 loop in one call: N frameworks,
-N agents, one coordinator, one shared network.
+N agents, one control-plane runtime with one coordinator, one shared
+network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..simulator.engine import Engine
 from ..simulator.trace import SimulationTrace
@@ -21,7 +22,10 @@ from ..topology.graph import Topology
 from ..workloads.job import BuiltJob
 from .agent import EchelonFlowAgent
 from .backend import QueueEnforcedScheduler
-from .coordinator import CoordinatedScheduler, Coordinator
+from .coordinator import Coordinator
+
+if TYPE_CHECKING:
+    from .runtime import ControlPlaneRuntime
 
 
 @dataclass
@@ -56,9 +60,13 @@ class ClusterRun:
     """Results of a full system run."""
 
     trace: SimulationTrace
-    coordinator: Coordinator
+    runtime: "ControlPlaneRuntime"
     engine: Engine
     frameworks: List[FrameworkInstance]
+
+    @property
+    def coordinator(self) -> Coordinator:
+        return self.runtime.coordinator
 
     def job_completion_times(self) -> Dict[str, float]:
         return {
@@ -71,28 +79,45 @@ class ClusterRun:
 def run_cluster(
     topology: Topology,
     jobs: Sequence[Tuple[BuiltJob, float]],
-    coordinator: Optional[Coordinator] = None,
+    runtime: Optional["ControlPlaneRuntime"] = None,
+    faults=None,
+    sanitizer=None,
+    instrumentation=None,
     enforce_with_queues: bool = False,
     num_queues: int = 8,
 ) -> ClusterRun:
     """Run jobs through the full agent/coordinator/backend stack.
 
-    ``jobs`` is a list of (built job, arrival time). With
-    ``enforce_with_queues`` the coordinator's allocation passes through the
-    WFQ quantization of Section 5 before reaching the network.
+    ``jobs`` is a list of (built job, arrival time); each job gets one
+    agent of ``runtime`` (a fresh identity-channel
+    :class:`~repro.system.runtime.ControlPlaneRuntime` by default).
+    ``faults`` may carry control-plane clauses, which the runtime
+    serves. With ``enforce_with_queues`` the coordinator's allocation
+    passes through the WFQ quantization of Section 5 before reaching
+    the network.
     """
-    coordinator = coordinator or Coordinator()
-    scheduler = CoordinatedScheduler(coordinator)
+    # Deferred: the runtime package's chaos suite imports this module.
+    from .runtime import ControlPlaneRuntime, ControlPlaneScheduler
+
+    runtime = runtime or ControlPlaneRuntime()
+    scheduler = ControlPlaneScheduler(runtime)
     if enforce_with_queues:
         scheduler = QueueEnforcedScheduler(scheduler, num_queues=num_queues)
-    engine = Engine(topology, scheduler)
+    engine = Engine(
+        topology,
+        scheduler,
+        faults=faults,
+        sanitizer=sanitizer,
+        instrumentation=instrumentation,
+    )
     frameworks: List[FrameworkInstance] = []
     for job, arrival in jobs:
-        agent = EchelonFlowAgent(framework=job.job_id, coordinator=coordinator)
-        instance = FrameworkInstance(job=job, agent=agent, arrival_time=arrival)
+        instance = FrameworkInstance(
+            job=job, agent=runtime.spawn_agent(job.job_id), arrival_time=arrival
+        )
         instance.launch(engine)
         frameworks.append(instance)
     trace = engine.run()
     return ClusterRun(
-        trace=trace, coordinator=coordinator, engine=engine, frameworks=frameworks
+        trace=trace, runtime=runtime, engine=engine, frameworks=frameworks
     )

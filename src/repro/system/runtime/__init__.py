@@ -6,16 +6,14 @@ See :mod:`repro.system.runtime.runtime` for the service model and
 
 from .chaos import (
     ChaosScenario,
-    ControlClusterRun,
     SCENARIO_NAMES,
     SMOKE_SCENARIOS,
     build_chaos_scenarios,
     format_chaos_table,
     run_chaos_suite,
-    run_control_cluster,
 )
 from .rpc import RpcChannel, RpcSpec, RpcSpecError, Verdict, parse_rpc_spec
-from .runtime import ControlPlaneRuntime, ControlPlaneScheduler, RuntimeAgent
+from .runtime import ControlPlaneRuntime, ControlPlaneScheduler
 
 __all__ = [
     "RpcChannel",
@@ -25,13 +23,10 @@ __all__ = [
     "parse_rpc_spec",
     "ControlPlaneRuntime",
     "ControlPlaneScheduler",
-    "RuntimeAgent",
-    "ControlClusterRun",
     "ChaosScenario",
     "SCENARIO_NAMES",
     "SMOKE_SCENARIOS",
     "build_chaos_scenarios",
-    "run_control_cluster",
     "run_chaos_suite",
     "format_chaos_table",
 ]

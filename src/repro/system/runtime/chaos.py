@@ -7,10 +7,9 @@ runtime under every control-plane failure mode and grades the outcome:
   degraded-mode scheduling keep serving flows; nothing stalls);
 * **bounded inflation** -- each job's JCT inflates at most
   ``inflation_bound``x over the fault-free baseline;
-* **bit-identity** -- the identity-channel baseline produces a SHA-256
-  trace digest equal to the direct in-process path
-  (:func:`repro.system.run_cluster`): the runtime adds *zero* behaviour
-  when nothing can fail;
+* **bit-identity** -- the identity-channel baseline reproduces the
+  pinned SHA-256 trace digest :data:`BASELINE_DIGEST`, so a change to
+  how a fault-free run schedules cannot pass unnoticed;
 * **determinism** -- every scenario run twice per ``(spec, seed)``
   digests identically (live == replay).
 
@@ -20,80 +19,19 @@ CI job runs it under ``REPRO_CHECK=strict`` and uploads the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core import FlowIdAllocator, use_flow_id_allocator
 from ...core.units import gbps, megabytes
-from ...simulator.engine import Engine
-from ...simulator.trace import SimulationTrace, trace_digest
+from ...simulator.trace import trace_digest
 from ...topology import big_switch
 from ...topology.graph import Topology
 from ...workloads import build_dp_allreduce, build_fsdp, build_tp_megatron
 from ...workloads.job import BuiltJob
 from ...workloads.model import uniform_model
-from ..coordinator import Coordinator
-from ..framework import FrameworkInstance, run_cluster
-from .runtime import ControlPlaneRuntime, ControlPlaneScheduler
-
-
-@dataclass
-class ControlClusterRun:
-    """Results of one run through the control-plane runtime."""
-
-    trace: SimulationTrace
-    runtime: ControlPlaneRuntime
-    engine: Engine
-    frameworks: List[FrameworkInstance]
-
-    @property
-    def coordinator(self) -> Coordinator:
-        return self.runtime.coordinator
-
-    def job_completion_times(self) -> Dict[str, float]:
-        return {
-            fw.job.job_id: self.engine.job_completion_time(fw.job.job_id)
-            - fw.arrival_time
-            for fw in self.frameworks
-        }
-
-
-def run_control_cluster(
-    topology: Topology,
-    jobs: Sequence[Tuple[BuiltJob, float]],
-    runtime: Optional[ControlPlaneRuntime] = None,
-    rpc: Optional[object] = None,
-    seed: Optional[int] = None,
-    faults=None,
-    sanitizer=None,
-    instrumentation=None,
-) -> ControlClusterRun:
-    """Run jobs through the fault-tolerant Fig. 7 stack.
-
-    The control-plane analogue of :func:`repro.system.run_cluster`:
-    one :class:`RuntimeAgent` per job, one shared coordinator, all
-    traffic over the runtime's RPC channel. ``rpc``/``seed`` build a
-    default runtime when none is given.
-    """
-    runtime = runtime or ControlPlaneRuntime(rpc=rpc, seed=seed)
-    scheduler = ControlPlaneScheduler(runtime)
-    engine = Engine(
-        topology,
-        scheduler,
-        faults=faults,
-        sanitizer=sanitizer,
-        instrumentation=instrumentation,
-    )
-    frameworks: List[FrameworkInstance] = []
-    for job, arrival in jobs:
-        agent = runtime.spawn_agent(job.job_id)
-        instance = FrameworkInstance(job=job, agent=agent, arrival_time=arrival)
-        instance.launch(engine)
-        frameworks.append(instance)
-    trace = engine.run()
-    return ControlClusterRun(
-        trace=trace, runtime=runtime, engine=engine, frameworks=frameworks
-    )
+from ..framework import ClusterRun, run_cluster
+from .runtime import ControlPlaneRuntime
 
 
 # ----------------------------------------------------------------------
@@ -113,6 +51,13 @@ SMOKE_SCENARIOS = ("baseline", "crash_coordinator", "rpc_noise")
 
 #: The crash/partition scenarios hit the agent that owns the first job.
 _TARGET_JOB = "job-dp"
+
+#: Trace digest of the fault-free workload on an identity channel, under
+#: a fresh flow-id allocator (the channel seed never draws, so every
+#: seed shares it). A change that moves it changes Fig. 7 scheduling.
+BASELINE_DIGEST = (
+    "1ccae575f0ef1f718462561047531df7de2dc97bbfb3868ae323c6f3c892bce5"
+)
 
 
 @dataclass(frozen=True)
@@ -195,20 +140,17 @@ def build_chaos_scenarios(
 
 def _run_scenario(
     scenario: ChaosScenario, seed: int, makespan: float, sanitizer=None
-) -> ControlClusterRun:
+) -> ClusterRun:
     """One fresh, reproducible run: private flow ids, fresh jobs.
 
-    Runtime liveness knobs scale with the workload clock (leases in
-    absolute seconds would outlive this sub-second workload entirely).
+    The lease scales with the workload clock (a lease in absolute
+    seconds would outlive this sub-second workload entirely).
     """
     runtime = ControlPlaneRuntime(
-        rpc=scenario.rpc,
-        seed=seed,
-        lease=0.05 * makespan,
-        heartbeat=0.01 * makespan,
+        rpc=scenario.rpc, seed=seed, lease=0.05 * makespan
     )
     with use_flow_id_allocator(FlowIdAllocator()):
-        return run_control_cluster(
+        return run_cluster(
             _topology(),
             _jobs(),
             runtime=runtime,
@@ -217,11 +159,10 @@ def _run_scenario(
         )
 
 
-def _direct_baseline() -> Tuple[Dict[str, float], str]:
-    """The in-process reference path (run_cluster), for bit-identity."""
+def _baseline_jcts() -> Dict[str, float]:
+    """Fault-free per-job JCTs: the inflation reference and clock."""
     with use_flow_id_allocator(FlowIdAllocator()):
-        run = run_cluster(_topology(), _jobs())
-    return run.job_completion_times(), trace_digest(run.trace)
+        return run_cluster(_topology(), _jobs()).job_completion_times()
 
 
 def run_chaos_suite(
@@ -235,10 +176,10 @@ def run_chaos_suite(
 
     ``report["ok"]`` aggregates every check: per-scenario completion,
     JCT inflation <= ``inflation_bound``, two-run determinism, and the
-    identity-channel bit-identity against the direct in-process path.
+    identity-channel baseline's digest against :data:`BASELINE_DIGEST`.
     """
-    direct_jcts, direct_digest = _direct_baseline()
-    makespan = max(direct_jcts.values())
+    base_jcts = _baseline_jcts()
+    makespan = max(base_jcts.values())
     if names is None:
         names = SMOKE_SCENARIOS if smoke else SCENARIO_NAMES
     scenarios = build_chaos_scenarios(makespan, names)
@@ -250,9 +191,9 @@ def run_chaos_suite(
         rerun_digest = trace_digest(_run_scenario(scenario, seed, makespan).trace)
         jcts = run.job_completion_times()
         completed = sorted(run.engine.completed_jobs)
-        all_done = set(completed) == set(direct_jcts)
+        all_done = set(completed) == set(base_jcts)
         inflation = max(
-            (jcts[job] / direct_jcts[job] for job in jcts if direct_jcts[job] > 0),
+            (jcts[job] / base_jcts[job] for job in jcts if base_jcts[job] > 0),
             default=1.0,
         )
         deterministic = digest == rerun_digest
@@ -271,7 +212,7 @@ def run_chaos_suite(
             "runtime": run.runtime.report(),
         }
         if scenario.name == "baseline":
-            row["bit_identical"] = digest == direct_digest
+            row["bit_identical"] = digest == BASELINE_DIGEST
             ok = ok and row["bit_identical"]
         ok = ok and all_done and row["inflation_ok"] and deterministic
         rows.append(row)
@@ -279,8 +220,8 @@ def run_chaos_suite(
         "suite": "control-plane-chaos",
         "seed": seed,
         "inflation_bound": inflation_bound,
-        "direct_digest": direct_digest,
-        "baseline_jct": {j: round(v, 6) for j, v in sorted(direct_jcts.items())},
+        "baseline_digest": BASELINE_DIGEST,
+        "baseline_jct": {j: round(v, 6) for j, v in sorted(base_jcts.items())},
         "scenarios": rows,
         "ok": ok,
     }

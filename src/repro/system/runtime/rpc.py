@@ -22,10 +22,9 @@ Spec grammar (``parse_rpc_spec``), mirroring the telemetry
     drop=0.1,delay=0.002,dup=0.01,timeout=0.05,retries=3,backoff=0.01,seed=7
 
 ``off`` (or an empty string / ``None``) is the identity channel:
-nothing is dropped, delayed, or duplicated, and the runtime collapses
-to the direct in-process path (bit-identical to
-:func:`repro.system.run_cluster`). Unknown keys raise
-:class:`RpcSpecError`.
+nothing is dropped, delayed, or duplicated, and the runtime runs in
+passive mode (one coordinator allocation per scheduling round).
+Unknown keys raise :class:`RpcSpecError`.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ delay, and duplication are first-class and deterministic per
 The runtime has two modes, resolved once per run:
 
 * **passive** -- the channel is the identity and the fault schedule
-  contains no control-plane actions. Registration and allocation take
-  *exactly* the code path of :class:`~repro.system.EchelonFlowAgent` /
-  :class:`~repro.system.CoordinatedScheduler`, so a passive run is
-  bit-identical to :func:`repro.system.run_cluster` (the chaos suite
-  asserts this by SHA-256 trace digest).
+  contains no control-plane actions. Registration lands on the
+  coordinator at once and every scheduling round is one coordinator
+  allocation over the merged registry, with no leases, timers or
+  channel draws (the chaos suite pins the resulting SHA-256 trace
+  digest).
 
 * **active** -- anything can fail. The runtime then maintains:
 
@@ -63,13 +63,14 @@ injector to :meth:`ControlPlaneRuntime.apply_fault`.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ...core.echelonflow import EchelonFlow
 from ...scheduling.base import Scheduler, SchedulerView
 from ...scheduling.fairshare import FairSharingScheduler
+from ..agent import EchelonFlowAgent
 from ..coordinator import Coordinator
-from ..messages import ArrangementDescriptor, EchelonFlowRequest, FlowInfo
+from ..messages import EchelonFlowRequest
 from .rpc import RpcChannel, RpcSpec, parse_rpc_spec
 
 #: Weight multiplier for quarantined tenants: small enough that the
@@ -77,70 +78,6 @@ from .rpc import RpcChannel, RpcSpec, parse_rpc_spec
 #: (Smith's rule divides positive lateness by the weight), large enough
 #: to stay a valid positive EchelonFlow weight.
 QUARANTINE_WEIGHT = 1e-3
-
-
-class RuntimeAgent:
-    """Per-framework agent process speaking to the coordinator over RPC.
-
-    Duck-types :class:`~repro.system.EchelonFlowAgent` where it matters
-    (``report_echelonflow`` / ``registered``), so
-    :class:`~repro.system.FrameworkInstance` drives it unchanged.
-    """
-
-    def __init__(self, framework: str, runtime: "ControlPlaneRuntime") -> None:
-        self.framework = framework
-        self.runtime = runtime
-        #: Process liveness (flipped by crash_agent / agent_restore).
-        self.up = True
-        #: Control-network reachability (partition_control with a target).
-        self.partitioned = False
-        #: True while the coordinator considers this agent dead.
-        self.quarantined = False
-        #: Sim-time the current liveness lease runs out (None = no lease yet).
-        self.lease_expires: Optional[float] = None
-        #: Coordinator epoch this agent last synced its state against;
-        #: -1 forces a full resync on the next delivered heartbeat.
-        self.synced_epoch = 0
-        #: ef_id -> (request, live EchelonFlow) for everything reported.
-        self.records: Dict[str, Tuple[EchelonFlowRequest, EchelonFlow]] = {}
-        #: ef_id -> the object scheduling consults (parity with
-        #: EchelonFlowAgent.registered).
-        self.registered: Dict[str, EchelonFlow] = {}
-
-    # -- EchelonFlow API -------------------------------------------------
-
-    def report_echelonflow(self, echelonflow: EchelonFlow) -> EchelonFlow:
-        """Report one EchelonFlow through the control plane."""
-        if echelonflow.ef_id in self.registered:
-            raise ValueError(
-                f"agent {self.framework!r} already reported {echelonflow.ef_id!r}"
-            )
-        flows = tuple(
-            FlowInfo(
-                flow_id=flow.flow_id,
-                src=flow.src,
-                dst=flow.dst,
-                size=flow.size,
-                index_in_group=flow.index_in_group,
-            )
-            for flow in echelonflow.flows
-        )
-        request = EchelonFlowRequest(
-            ef_id=echelonflow.ef_id,
-            job_id=echelonflow.job_id or self.framework,
-            framework=self.framework,
-            arrangement=ArrangementDescriptor.from_arrangement(
-                echelonflow.arrangement, echelonflow.index_count
-            ),
-            flows=flows,
-        )
-        registered = self.runtime.register(self, request, echelonflow)
-        self.registered[echelonflow.ef_id] = registered
-        return registered
-
-    @property
-    def ef_ids(self) -> Tuple[str, ...]:
-        return tuple(self.records)
 
 
 class ControlPlaneRuntime:
@@ -152,7 +89,6 @@ class ControlPlaneRuntime:
         rpc: Optional[object] = None,
         seed: Optional[int] = None,
         lease: float = 0.25,
-        heartbeat: float = 0.1,
         fallback_after: int = 2,
         recover_after: int = 2,
         checkpoint_every: int = 4,
@@ -170,7 +106,6 @@ class ControlPlaneRuntime:
         self.base_spec: RpcSpec = parse_rpc_spec(rpc, seed)
         self.channel = RpcChannel(self.base_spec)
         self.lease = lease
-        self.heartbeat = heartbeat
         self.fallback_after = fallback_after
         self.recover_after = recover_after
         self.checkpoint_every = checkpoint_every
@@ -180,7 +115,7 @@ class ControlPlaneRuntime:
         #: scheduler's on_attached hook, so the fault schedule is not
         #: known at attach time).
         self._active: Optional[bool] = None
-        self._agents: Dict[str, RuntimeAgent] = {}
+        self._agents: Dict[str, EchelonFlowAgent] = {}
         # -- coordinator-side service state --
         self.coordinator_up = True
         self.global_partition = False
@@ -233,15 +168,15 @@ class ControlPlaneRuntime:
             )
         self.engine = engine
 
-    def spawn_agent(self, framework: str) -> RuntimeAgent:
+    def spawn_agent(self, framework: str) -> EchelonFlowAgent:
         if framework in self._agents:
             raise ValueError(f"agent {framework!r} already spawned")
-        agent = RuntimeAgent(framework, self)
+        agent = EchelonFlowAgent(framework, self)
         self._agents[framework] = agent
         return agent
 
     @property
-    def agents(self) -> Dict[str, RuntimeAgent]:
+    def agents(self) -> Dict[str, EchelonFlowAgent]:
         return dict(self._agents)
 
     @property
@@ -274,7 +209,7 @@ class ControlPlaneRuntime:
 
     def register(
         self,
-        agent: RuntimeAgent,
+        agent: EchelonFlowAgent,
         request: EchelonFlowRequest,
         live: EchelonFlow,
     ) -> EchelonFlow:
@@ -284,7 +219,8 @@ class ControlPlaneRuntime:
         if agent.lease_expires is None:
             agent.lease_expires = now + self.lease
         if not self.active:
-            # Bit-identical mirror of EchelonFlowAgent.report_echelonflow.
+            # Nothing can fail: register at once; the coordinator's
+            # object carries the framework's member flows.
             registered = self.coordinator.register(request)
             for flow in live.flows:
                 registered.add_flow(flow)
@@ -307,7 +243,7 @@ class ControlPlaneRuntime:
             self._install(agent, request.ef_id)
         return live
 
-    def _install(self, agent: RuntimeAgent, ef_id: str) -> None:
+    def _install(self, agent: EchelonFlowAgent, ef_id: str) -> None:
         """Idempotently land one registration on the coordinator.
 
         Appends to the WAL on first delivery; later copies (duplicates,
@@ -354,7 +290,7 @@ class ControlPlaneRuntime:
             if agent.synced_epoch < self.epoch:
                 self._resync(agent, now)
 
-    def _check_lease(self, agent: RuntimeAgent, now: float) -> None:
+    def _check_lease(self, agent: EchelonFlowAgent, now: float) -> None:
         if agent.quarantined or agent.lease_expires is None:
             return
         if now > agent.lease_expires:
@@ -364,14 +300,14 @@ class ControlPlaneRuntime:
             self._emit("quarantine", now, agent=agent.framework,
                        groups=len(agent.records))
 
-    def _readopt(self, agent: RuntimeAgent, now: float) -> None:
+    def _readopt(self, agent: EchelonFlowAgent, now: float) -> None:
         agent.quarantined = False
         self.quarantined.difference_update(agent.ef_ids)
         agent.synced_epoch = -1  # state may have moved; force resync
         self.counters["readoptions"] += 1
         self._emit("readopt", now, agent=agent.framework)
 
-    def _resync(self, agent: RuntimeAgent, now: float) -> None:
+    def _resync(self, agent: EchelonFlowAgent, now: float) -> None:
         self._resync_seq += 1
         verdict = self.channel.transmit(
             f"resync|{agent.framework}|e{self.epoch}|{self._resync_seq}"
@@ -386,20 +322,6 @@ class ControlPlaneRuntime:
                    groups=self.counters["resynced_groups"] - before)
 
     # -- scheduling ------------------------------------------------------
-
-    def allocate_passive(self, view: SchedulerView) -> Dict[int, float]:
-        """Exactly CoordinatedScheduler.allocate -- the bit-identity path."""
-        merged = dict(view.echelonflows)
-        merged.update(self.coordinator.echelonflows)
-        coordinator_view = SchedulerView(
-            now=view.now,
-            network=view.network,
-            echelonflows=merged,
-            trigger_cause=view.trigger_cause,
-            injected_flows=view.injected_flows,
-            departed_flows=view.departed_flows,
-        )
-        return self.coordinator.allocate(coordinator_view)
 
     def allocate_active(self, view: SchedulerView) -> Dict[int, float]:
         now = view.now
@@ -595,7 +517,7 @@ class ControlPlaneRuntime:
         else:  # pragma: no cover - the grammar should prevent this
             raise ValueError(f"unknown control-plane action {action!r}")
 
-    def _agent_for(self, target: Optional[str]) -> RuntimeAgent:
+    def _agent_for(self, target: Optional[str]) -> EchelonFlowAgent:
         agent = self._agents.get(target or "")
         if agent is None:
             raise ValueError(
@@ -665,11 +587,11 @@ class ControlPlaneRuntime:
 class ControlPlaneScheduler(Scheduler):
     """Engine adapter: schedules through a :class:`ControlPlaneRuntime`.
 
-    Passive mode is bit-identical to
-    :class:`~repro.system.CoordinatedScheduler`; active mode flags every
-    invocation as a fallback so the differential twin oracle skips it
-    (lossy control-plane rounds are intentionally not the reference
-    allocation).
+    Passive mode asks the coordinator directly (its registry overrides
+    the engine-side one, so the control plane carries all information
+    scheduling needs); active mode flags every invocation as a fallback
+    so the differential twin oracle skips it (lossy control-plane rounds
+    are intentionally not the reference allocation).
     """
 
     name = "control-plane"
@@ -694,8 +616,9 @@ class ControlPlaneScheduler(Scheduler):
     def allocate(self, view: SchedulerView) -> Dict[int, float]:
         runtime = self.runtime
         if not runtime.active:
+            # Nothing is ever quarantined in passive mode.
             self.last_allocation_was_fallback = False
-            return runtime.allocate_passive(view)
+            return runtime._coordinated_rates(view)
         self.last_allocation_was_fallback = True
         return runtime.allocate_active(view)
 

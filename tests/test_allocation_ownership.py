@@ -15,9 +15,9 @@ Covered: every registered scheduler, on Table-1 jobs per event and on a
 ticked 320-flow burst (fair share's array allocations), plus each
 wrapper: ``ProfiledScheduler``, ``MemoizingScheduler`` replaying cached
 decisions in what-if forks, ``ResilientScheduler`` falling back,
-``CoordinatedScheduler`` (``run_cluster``) and ``ControlPlaneScheduler``
-serving stale allocations under RPC noise and falling back while its
-coordinator is down.
+``ControlPlaneScheduler`` asking the coordinator on a fault-free
+``run_cluster``, serving stale allocations under RPC noise and falling
+back while its coordinator is down.
 """
 
 import random
@@ -38,10 +38,10 @@ from repro.scheduling import (
 )
 from repro.simulator import Engine
 from repro.simulator.vector import VectorAllocation
-from repro.system import CoordinatedScheduler, run_cluster
+from repro.system import run_cluster
 from repro.system.runtime import ControlPlaneScheduler
 from repro.system.runtime.chaos import (
-    _direct_baseline,
+    _baseline_jcts,
     _jobs,
     _run_scenario,
     _topology,
@@ -180,11 +180,12 @@ def test_resilient_scheduler(monkeypatch):
     assert resilient.fallback_invocations > 0
 
 
-def test_coordinated_scheduler(monkeypatch):
-    ledger = _watch(monkeypatch, CoordinatedScheduler)
+def test_passive_control_plane_scheduler(monkeypatch):
+    ledger = _watch(monkeypatch, ControlPlaneScheduler)
     with use_flow_id_allocator(FlowIdAllocator()):
-        run_cluster(_topology(), _jobs())
+        run = run_cluster(_topology(), _jobs())
     _assert_owned(ledger)
+    assert ledger and run.runtime.report()["mode"] == "passive"
 
 
 @pytest.mark.parametrize(
@@ -192,7 +193,7 @@ def test_coordinated_scheduler(monkeypatch):
     [("rpc_noise", "stale_rounds"), ("crash_coordinator", "degraded_rounds")],
 )
 def test_control_plane_scheduler(monkeypatch, scenario, counter):
-    jcts, _ = _direct_baseline()
+    jcts = _baseline_jcts()
     makespan = max(jcts.values())
     (chaos,) = build_chaos_scenarios(makespan, [scenario])
     ledger = _watch(monkeypatch, ControlPlaneScheduler)

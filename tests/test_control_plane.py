@@ -1,7 +1,7 @@
 """The fault-tolerant control plane: RPC channel, runtime, chaos suite.
 
 Covers the ISSUE 10 acceptance surface: seeded lossy-RPC determinism,
-passive-mode bit-identity against the direct in-process path, agent
+pinned passive-mode trace digests of the Fig. 7 path, agent
 quarantine/re-adoption, coordinator WAL-replay failover, degraded-mode
 hysteresis, the control fault grammar's gating, and topology validation
 of fault specs.
@@ -10,6 +10,7 @@ of fault specs.
 import pytest
 
 from repro.core import FlowIdAllocator, use_flow_id_allocator
+from repro.core.units import gbps, megabytes
 from repro.faults import FaultSchedule, FaultSpecError
 from repro.scheduling import make_scheduler
 from repro.simulator.engine import Engine
@@ -23,15 +24,15 @@ from repro.system.runtime import (
     build_chaos_scenarios,
     parse_rpc_spec,
     run_chaos_suite,
-    run_control_cluster,
 )
 from repro.system.runtime.chaos import (
-    _direct_baseline,
+    _baseline_jcts,
     _jobs,
     _run_scenario,
     _topology,
 )
 from repro.topology import big_switch
+from repro.workloads import build_dp_allreduce, build_fsdp, uniform_model
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +113,76 @@ def test_rpc_retries_accumulate_backoff():
 
 
 # ---------------------------------------------------------------------------
-# passive mode: bit-identity with the direct path
+# passive mode: pinned digests of the Fig. 7 path
 # ---------------------------------------------------------------------------
 
+#: Mirrors benchmarks/bench_fig7_system.py (E11): FSDP + DP on 8 hosts.
+_E11_MODEL = uniform_model(
+    "u8",
+    8,
+    param_bytes_per_layer=megabytes(40),
+    activation_bytes=megabytes(20),
+    forward_time=0.004,
+)
 
-def test_passive_runtime_is_bit_identical_to_direct_path():
+
+def _e11_jobs():
+    return [
+        (build_fsdp("fsdp-job", _E11_MODEL, ["h0", "h1", "h2", "h3"]), 0.0),
+        (
+            build_dp_allreduce(
+                "dp-job",
+                _E11_MODEL,
+                ["h4", "h5", "h6", "h7"],
+                bucket_bytes=megabytes(80),
+            ),
+            0.01,
+        ),
+    ]
+
+
+#: case -> (jobs, enforce_with_queues, trace digest, coordinator
+#: invocations, EchelonFlow requests), each run under a fresh flow-id
+#: allocator on big_switch(8, 10 Gbps). The digests were taken while an
+#: in-process coordinator adapter still existed beside the runtime and
+#: both produced them; a change that moves one changes Fig. 7
+#: scheduling.
+_PINNED = {
+    "chaos": (
+        _jobs,
+        False,
+        "1ccae575f0ef1f718462561047531df7de2dc97bbfb3868ae323c6f3c892bce5",
+        116,
+        17,
+    ),
+    "e11": (
+        _e11_jobs,
+        False,
+        "a47a3cd37283bead5b35cca773b1d1f2a7c48b7b6116a72ec58353c5cf619269",
+        118,
+        13,
+    ),
+    "e11-queues": (
+        _e11_jobs,
+        True,
+        "ead9020038d6115743cf974fa4ed99de08048ec345a0877f4b461c6f0e87dfcb",
+        127,
+        13,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_cluster_run_matches_pinned_digest(case):
+    jobs, queues, digest, invocations, requests = _PINNED[case]
     with use_flow_id_allocator(FlowIdAllocator()):
-        direct = run_cluster(_topology(), _jobs())
-    with use_flow_id_allocator(FlowIdAllocator()):
-        runtime = run_control_cluster(_topology(), _jobs())
-    assert runtime.runtime.report()["mode"] == "passive"
-    assert trace_digest(runtime.trace) == trace_digest(direct.trace)
-    assert runtime.job_completion_times() == direct.job_completion_times()
+        run = run_cluster(
+            big_switch(8, gbps(10)), jobs(), enforce_with_queues=queues
+        )
+    assert run.runtime.report()["mode"] == "passive"
+    assert trace_digest(run.trace) == digest
+    assert run.coordinator.invocations == invocations
+    assert len(run.coordinator.request_log) == requests
 
 
 def test_trace_digest_tracks_content():
@@ -142,8 +201,8 @@ def test_trace_digest_tracks_content():
 
 @pytest.fixture(scope="module")
 def baseline():
-    jcts, digest = _direct_baseline()
-    return jcts, digest, max(jcts.values())
+    jcts = _baseline_jcts()
+    return jcts, max(jcts.values())
 
 
 def _scenario_run(name, makespan, seed=0):
@@ -152,7 +211,7 @@ def _scenario_run(name, makespan, seed=0):
 
 
 def test_crash_agent_quarantines_and_readopts(baseline):
-    jcts, _, makespan = baseline
+    jcts, makespan = baseline
     run = _scenario_run("crash_agent", makespan)
     report = run.runtime.report()
     assert report["mode"] == "active"
@@ -163,7 +222,7 @@ def test_crash_agent_quarantines_and_readopts(baseline):
 
 
 def test_crash_coordinator_fails_over_via_wal(baseline):
-    jcts, _, makespan = baseline
+    jcts, makespan = baseline
     run = _scenario_run("crash_coordinator", makespan)
     report = run.runtime.report()
     assert report["failovers"] == 1
@@ -175,7 +234,7 @@ def test_crash_coordinator_fails_over_via_wal(baseline):
 
 
 def test_partition_enters_and_exits_degraded_mode(baseline):
-    jcts, _, makespan = baseline
+    jcts, makespan = baseline
     run = _scenario_run("partition_control", makespan)
     report = run.runtime.report()
     assert report["degraded_enters"] >= 1
@@ -186,7 +245,7 @@ def test_partition_enters_and_exits_degraded_mode(baseline):
 
 
 def test_lossy_channel_run_is_deterministic(baseline):
-    _, _, makespan = baseline
+    _, makespan = baseline
     first = _scenario_run("lossy_channel", makespan, seed=5)
     second = _scenario_run("lossy_channel", makespan, seed=5)
     assert trace_digest(first.trace) == trace_digest(second.trace)
@@ -244,11 +303,11 @@ def test_crash_agent_requires_agent_target():
 
 
 def test_unknown_agent_target_raises_at_fire_time(baseline):
-    _, _, makespan = baseline
-    runtime = ControlPlaneRuntime(lease=0.05 * makespan, heartbeat=0.01 * makespan)
+    _, makespan = baseline
+    runtime = ControlPlaneRuntime(lease=0.05 * makespan)
     with use_flow_id_allocator(FlowIdAllocator()):
         with pytest.raises(ValueError, match="job-nope"):
-            run_control_cluster(
+            run_cluster(
                 _topology(),
                 _jobs(),
                 runtime=runtime,

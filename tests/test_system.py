@@ -14,8 +14,8 @@ from repro.scheduling import EchelonMaddScheduler, FairSharingScheduler
 from repro.system import (
     ArrangementDescriptor,
     ArrangementKind,
+    ControlPlaneRuntime,
     Coordinator,
-    CoordinatedScheduler,
     EchelonFlowAgent,
     QueueEnforcedScheduler,
     allocation_error,
@@ -88,7 +88,8 @@ class TestCoordinator:
 class TestAgent:
     def test_report_echelonflow_registers_flows(self):
         coordinator = Coordinator()
-        agent = EchelonFlowAgent("fw", coordinator)
+        agent = ControlPlaneRuntime(coordinator=coordinator).spawn_agent("fw")
+        assert isinstance(agent, EchelonFlowAgent)
         ef = EchelonFlow("ef", StaggeredArrangement(1.0), job_id="j")
         flow = Flow("h0", "h1", 5.0, group_id="ef", index_in_group=0)
         ef.add_flow(flow)
@@ -97,15 +98,6 @@ class TestAgent:
         assert registered.cardinality == 1
         with pytest.raises(ValueError):
             agent.report_echelonflow(ef)
-
-    def test_enqueue_maps_rate_to_queue(self):
-        coordinator = Coordinator()
-        agent = EchelonFlowAgent("fw", coordinator, num_queues=8)
-        flow = Flow("h0", "h1", 5.0)
-        full = agent.enqueue(flow, rate=10.0, egress_capacity=10.0)
-        trickle = agent.enqueue(flow, rate=0.01, egress_capacity=10.0)
-        assert full.queue > trickle.queue
-        assert agent.enqueue_log == [full, trickle]
 
 
 class TestQueueEnforcement:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.units import gbps, megabytes
 from repro.scheduling import CoflowMaddScheduler
-from repro.system import Coordinator, run_cluster
+from repro.system import ControlPlaneRuntime, Coordinator, run_cluster
 from repro.topology import big_switch
 from repro.workloads import build_dp_allreduce, uniform_model
 
@@ -37,7 +37,7 @@ def test_custom_coordinator_algorithm_is_used():
     run = run_cluster(
         big_switch(4, gbps(10)),
         [(_job("j", ["h0", "h1"]), 0.0)],
-        coordinator=coordinator,
+        runtime=ControlPlaneRuntime(coordinator=coordinator),
     )
     assert run.coordinator is coordinator
     assert coordinator.invocations > 0

@@ -15,6 +15,8 @@ Pins the degraded-telemetry acceptance surface:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.obs.watch import (
@@ -154,6 +156,25 @@ class TestChannelDeterminism:
         assert sum(1 for e in mixed if e["ev"] == "watch_heartbeat") == sum(
             1 for e in noisy if e["ev"] == "watch_heartbeat"
         )
+
+    def test_seed_swap_keeps_every_other_field(self):
+        fields = dict(
+            sample=4, drop=0.1, burst=0.02, burst_len=5,
+            delay=0.001, dup=0.01, seed=7,
+        )
+        # Every field differs from its default, so a field the swap
+        # dropped would read back as its default.
+        assert sorted(fields) == sorted(
+            f.name for f in dataclasses.fields(NoiseSpec)
+        )
+        assert all(
+            fields[f.name] != f.default for f in dataclasses.fields(NoiseSpec)
+        )
+        spec = NoiseSpec(**fields)
+        assert TelemetryChannel(spec, seed=11).spec == NoiseSpec(
+            **{**fields, "seed": 11}
+        )
+        assert TelemetryChannel(spec).spec is spec
 
     def test_sampler_is_a_deterministic_counter(self):
         channel = TelemetryChannel("sample=3")
