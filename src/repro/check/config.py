@@ -13,12 +13,16 @@ shadow-executed by the differential twin oracle), ``twin_tol`` (relative
 rate tolerance for twin agreement; 0 demands bit-equality), ``seed``
 (the deterministic sampling stream), ``max`` (collected-violation cap),
 and ``invariants`` (``+``-separated allow-list of invariant names).
+The options follow the shared rules of :mod:`repro.core.grammar`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple, Union
+
+from ..core import grammar
+from ..core.grammar import NON_NEGATIVE, POSITIVE_COUNT, PROBABILITY, Key
 
 MODE_OFF = "off"
 MODE_COLLECT = "collect"
@@ -72,18 +76,7 @@ class CheckConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= self.twin_sample <= 1.0:
-            raise ValueError(
-                f"twin_sample must be in [0, 1], got {self.twin_sample}"
-            )
-        if self.twin_tolerance < 0:
-            raise ValueError(
-                f"twin_tolerance must be >= 0, got {self.twin_tolerance}"
-            )
-        if self.max_violations < 1:
-            raise ValueError(
-                f"max_violations must be positive, got {self.max_violations}"
-            )
+        grammar.check(self, CHECK_KEYS, ValueError)
 
     @property
     def enabled(self) -> bool:
@@ -96,6 +89,25 @@ class CheckConfig:
     def wants(self, invariant: str) -> bool:
         """Is this invariant in scope? (Empty allow-list = everything.)"""
         return not self.invariants or invariant in self.invariants
+
+    def describe(self) -> str:
+        """The spec string :func:`parse_spec` reads back as this config."""
+        options = grammar.describe(self, CHECK_KEYS)
+        return f"{self.mode}:{options}" if options else self.mode
+
+
+#: The option tail after ``mode:``; the tolerances other than
+#: ``twin_tol`` are not settable from a spec.
+CHECK_KEYS = (
+    Key("twin", limits=PROBABILITY, field="twin_sample"),
+    Key("twin_tol", limits=NON_NEGATIVE, field="twin_tolerance",
+        aliases=("twin_tolerance",)),
+    Key("seed", int),
+    Key("max", int, POSITIVE_COUNT, field="max_violations",
+        aliases=("max_violations",)),
+    # A "+"-separated allow-list: invariants=capacity+twin.
+    Key("invariants", lambda text: frozenset(filter(None, text.split("+")))),
+)
 
 
 def parse_spec(spec: Union[str, CheckConfig, None]) -> Optional[CheckConfig]:
@@ -118,29 +130,5 @@ def parse_spec(spec: Union[str, CheckConfig, None]) -> Optional[CheckConfig]:
         )
     if mode == MODE_OFF:
         return None
-    overrides = {}
-    if options.strip():
-        for item in options.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip().lower()
-            if not sep:
-                raise ValueError(f"malformed check option {item!r} (need key=value)")
-            value = value.strip()
-            if key == "twin":
-                overrides["twin_sample"] = float(value)
-            elif key in ("twin_tol", "twin_tolerance"):
-                overrides["twin_tolerance"] = float(value)
-            elif key == "seed":
-                overrides["seed"] = int(value)
-            elif key in ("max", "max_violations"):
-                overrides["max_violations"] = int(value)
-            elif key == "invariants":
-                overrides["invariants"] = frozenset(
-                    name for name in value.split("+") if name
-                )
-            else:
-                known = "twin, twin_tol, seed, max, invariants"
-                raise ValueError(
-                    f"unknown check option {key!r}; recognized: {known}"
-                )
+    overrides = grammar.parse_pairs(options, CHECK_KEYS, ValueError)
     return CheckConfig(mode=mode, **overrides)

@@ -10,6 +10,10 @@ or from JSON (see :meth:`FaultSchedule.from_json`). Grammar per clause::
 
     action[:linkspec]@time[+duration][,key=value...]
 
+The clause shape and the ``key=value`` rules are the ones every spec in
+the repo shares (docs/architecture.md, "Spec grammars"); times and
+durations are finite seconds.
+
 * ``linkspec`` -- ``a-b`` hits both directions of a duplex link pair,
   ``a->b`` only the directed link.
 * ``link_down`` -- capacity drops to 0 at ``time``; with ``+duration`` the
@@ -44,8 +48,9 @@ engine; see docs/control_plane.md)::
 * ``rpc_noise`` -- swap the control channel to a degraded one described
   by inline RPC-spec keys (``drop`` / ``delay`` / ``dup`` / ``timeout``
   / ``retries`` / ``backoff`` / ``seed``, see
-  :mod:`repro.system.runtime.rpc`); ``+duration`` restores the channel
-  the run started with.
+  :mod:`repro.system.runtime.rpc`; JSON clauses carry them as one
+  ``spec`` string); ``+duration`` restores the channel the run started
+  with.
 
 Compound clauses (``flap``, ``+duration``) expand at parse time into
 primitive paired events (``link_down`` / ``link_restore``,
@@ -58,8 +63,12 @@ to its *nominal* (construction-time) capacity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from ..core.grammar import NON_NEGATIVE, POSITIVE_COUNT, Key, Range
+from ..core.grammar import parse_pairs, split_clause, split_pairs
 
 _LINK_ACTIONS = ("link_down", "link_restore", "degrade")
 #: Control-plane primitives (PR 10). Appended *after* the original
@@ -105,9 +114,10 @@ _CONTROL_KINDS = {
 _TARGETED_ACTIONS = frozenset(
     {"crash_agent", "agent_restore", "partition_control", "partition_heal"}
 )
-#: Inline RPC-channel keys an ``rpc_noise`` clause accepts (mirrors
-#: :func:`repro.system.runtime.rpc.parse_rpc_spec`).
-_RPC_KEYS = ("drop", "delay", "dup", "timeout", "retries", "backoff", "seed")
+
+
+#: ``FaultEvent`` fields JSON carries only when set, with their types.
+_OPTIONAL_FIELDS = (("factor", float), ("target", str), ("spec", str))
 
 
 class FaultSpecError(ValueError):
@@ -133,8 +143,10 @@ class FaultEvent:
     spec: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise FaultSpecError(f"fault time must be >= 0, got {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise FaultSpecError(
+                f"fault time must be finite and >= 0, got {self.time}"
+            )
         if self.action not in _ACTIONS:
             raise FaultSpecError(
                 f"unknown fault action {self.action!r}; expected one of {_ACTIONS}"
@@ -191,11 +203,35 @@ def _parse_linkspec(text: str) -> Tuple[Tuple[str, str], ...]:
     )
 
 
-def _parse_float(value: str, what: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise FaultSpecError(f"bad {what} {value!r}") from None
+#: A clause's ``@time[+duration]``, in seconds.
+_WHEN_KEYS = (Key("time", limits=NON_NEGATIVE), Key("duration"))
+_FACTOR = Key("factor", limits=Range(0.0, 1.0, "()"))
+_AGENT = Key("agent", str)
+#: Each clause action's ``key=value`` table (docs/architecture.md,
+#: "Spec grammars"); an ``rpc_noise`` clause's keys arrive as one spec.
+_PARAM_KEYS = {
+    "link_down": (),
+    "degrade": (_FACTOR,),
+    "flap": (
+        Key("period", limits=Range(0.0, math.inf, "(]")),
+        Key("count", int, POSITIVE_COUNT),
+        _FACTOR,
+    ),
+    "crash_scheduler": (),
+    "crash_agent": (_AGENT,),
+    "crash_coordinator": (),
+    "partition_control": (_AGENT,),
+    "rpc_noise": (Key("spec", str),),
+}
+
+
+def _restore(duration: Optional[float], time: float, **event) -> List[FaultEvent]:
+    """The event a ``+duration`` pairs with a fault (none without one)."""
+    if duration is None:
+        return []
+    if duration <= 0:
+        raise FaultSpecError(f"duration must be > 0, got {duration}")
+    return [FaultEvent(time=time + duration, **event)]
 
 
 def _expand_clause(
@@ -205,181 +241,84 @@ def _expand_clause(
     duration: Optional[float],
     params: Dict[str, str],
 ) -> List[FaultEvent]:
-    def reject_unknown(allowed: Sequence[str]) -> None:
-        unknown = sorted(set(params) - set(allowed))
-        if unknown:
-            raise FaultSpecError(
-                f"unknown parameter(s) {unknown} for {action!r}"
-            )
+    if action not in _PARAM_KEYS:
+        raise FaultSpecError(
+            f"unknown fault action {action!r}; expected one of "
+            f"{', '.join(_PARAM_KEYS)}"
+        )
+    values = parse_pairs(params, _PARAM_KEYS[action], FaultSpecError)
 
     if action == "crash_scheduler":
-        reject_unknown(())
         if links:
             raise FaultSpecError("crash_scheduler takes no link spec")
         if duration is not None:
             raise FaultSpecError("crash_scheduler takes no duration")
         return [FaultEvent(time=time, action="crash_scheduler")]
 
-    if action == "link_down":
-        reject_unknown(())
-        events = [FaultEvent(time=time, action="link_down", links=links)]
-        if duration is not None:
-            if duration <= 0:
-                raise FaultSpecError(f"duration must be > 0, got {duration}")
-            events.append(
-                FaultEvent(time=time + duration, action="link_restore", links=links)
-            )
-        return events
-
-    if action == "degrade":
-        reject_unknown(("factor",))
-        if "factor" not in params:
-            raise FaultSpecError("degrade requires factor=<0..1>")
-        factor = _parse_float(params["factor"], "factor")
-        events = [
-            FaultEvent(time=time, action="degrade", links=links, factor=factor)
-        ]
-        if duration is not None:
-            if duration <= 0:
-                raise FaultSpecError(f"duration must be > 0, got {duration}")
-            events.append(
-                FaultEvent(time=time + duration, action="link_restore", links=links)
-            )
-        return events
+    if action in ("link_down", "degrade"):
+        fault = FaultEvent(
+            time=time, action=action, links=links, factor=values.get("factor")
+        )
+        return [fault] + _restore(
+            duration, time, action="link_restore", links=links
+        )
 
     if action == "flap":
-        reject_unknown(("period", "count", "factor"))
         if duration is not None:
             raise FaultSpecError("flap uses period/count, not a duration")
-        if "period" not in params or "count" not in params:
+        if "period" not in values or "count" not in values:
             raise FaultSpecError("flap requires period=<s> and count=<n>")
-        period = _parse_float(params["period"], "period")
-        if period <= 0:
-            raise FaultSpecError(f"flap period must be > 0, got {period}")
-        try:
-            count = int(params["count"])
-        except ValueError:
-            raise FaultSpecError(f"bad count {params['count']!r}") from None
-        if count < 1:
-            raise FaultSpecError(f"flap count must be >= 1, got {count}")
+        period = values["period"]
         # Optional factor turns a fail-stop flap (link_down cycles) into
         # a brown-out flap: the link stays up but cycles between degraded
         # and nominal capacity, the signature of a failing optic. Flows
         # are NOT auto-rerouted off a degraded link (it still carries
         # traffic), which is exactly what makes brown-outs the case
         # where a watch-loop cordon earns its keep.
-        factor = None
-        if "factor" in params:
-            factor = _parse_float(params["factor"], "factor")
+        factor = values.get("factor")
+        down = "link_down" if factor is None else "degrade"
         events: List[FaultEvent] = []
-        for i in range(count):
+        for i in range(values["count"]):
             start = time + i * period
-            if factor is None:
-                events.append(
-                    FaultEvent(time=start, action="link_down", links=links)
-                )
-            else:
-                events.append(
-                    FaultEvent(
-                        time=start, action="degrade", links=links, factor=factor
-                    )
-                )
-            events.append(
-                FaultEvent(
-                    time=start + period / 2.0, action="link_restore", links=links
-                )
-            )
+            events.append(FaultEvent(start, down, links, factor=factor))
+            events.append(FaultEvent(start + period / 2.0, "link_restore", links))
         return events
 
-    if action in _CONTROL_RESTORE:
-        if links:
-            raise FaultSpecError(
-                f"{action} takes no link spec; name agents with agent=<id>"
-            )
-        target: Optional[str] = None
-        spec: Optional[str] = None
-        if action == "crash_agent":
-            reject_unknown(("agent",))
-            if "agent" not in params:
-                raise FaultSpecError("crash_agent requires agent=<job id>")
-            target = params["agent"]
-        elif action == "crash_coordinator":
-            reject_unknown(())
-        elif action == "partition_control":
-            reject_unknown(("agent",))
-            target = params.get("agent")
-        else:  # rpc_noise
-            reject_unknown(_RPC_KEYS + ("spec",))
-            if "spec" in params:
-                if len(params) > 1:
-                    raise FaultSpecError(
-                        "rpc_noise takes either spec=... or inline channel "
-                        "keys, not both"
-                    )
-                spec = params["spec"]
-            else:
-                spec = ",".join(f"{k}={v}" for k, v in params.items())
-            if not spec:
-                raise FaultSpecError(
-                    "rpc_noise requires channel parameters "
-                    "(e.g. rpc_noise@1.0,drop=0.1,delay=0.002)"
-                )
-            # Deferred import: repro.system.runtime sits on top of faults.
-            from ..system.runtime.rpc import RpcSpecError, parse_rpc_spec
+    # Control-plane actions.
+    if links:
+        raise FaultSpecError(
+            f"{action} takes no link spec; name agents with agent=<id>"
+        )
+    target, spec = values.get("agent"), values.get("spec")
+    if spec:
+        # Deferred import: repro.system.runtime sits on top of faults.
+        from ..system.runtime.rpc import RpcSpecError, parse_rpc_spec
 
-            try:
-                parse_rpc_spec(spec)
-            except RpcSpecError as exc:
-                raise FaultSpecError(f"bad rpc_noise parameters: {exc}") from None
-        events = [
-            FaultEvent(time=time, action=action, target=target, spec=spec)
-        ]
-        if duration is not None:
-            if duration <= 0:
-                raise FaultSpecError(f"duration must be > 0, got {duration}")
-            events.append(
-                FaultEvent(
-                    time=time + duration,
-                    action=_CONTROL_RESTORE[action],
-                    target=target,
-                )
-            )
-        return events
-
-    raise FaultSpecError(
-        f"unknown fault action {action!r}; expected link_down, degrade, "
-        f"flap, crash_scheduler, crash_agent, crash_coordinator, "
-        f"partition_control, or rpc_noise"
+        try:
+            parse_rpc_spec(spec)
+        except RpcSpecError as exc:
+            raise FaultSpecError(f"bad rpc_noise parameters: {exc}") from None
+    fault = FaultEvent(time=time, action=action, target=target, spec=spec)
+    return [fault] + _restore(
+        duration, time, action=_CONTROL_RESTORE[action], target=target
     )
 
 
 def _parse_clause(clause: str) -> List[FaultEvent]:
-    if "@" not in clause:
-        raise FaultSpecError(f"fault clause {clause!r} is missing '@time'")
-    before, after = clause.split("@", 1)
-    before = before.strip()
-    if ":" in before:
-        action, _, linkpart = before.partition(":")
-        action = action.strip()
-        links = _parse_linkspec(linkpart)
-    else:
-        action, links = before, ()
-    parts = [p.strip() for p in after.split(",")]
-    timepart, params_parts = parts[0], parts[1:]
-    params: Dict[str, str] = {}
-    for part in params_parts:
-        if "=" not in part:
-            raise FaultSpecError(f"bad parameter {part!r} in clause {clause!r}")
-        key, _, value = part.partition("=")
-        params[key.strip()] = value.strip()
-    if "+" in timepart:
-        time_text, _, duration_text = timepart.partition("+")
-        time = _parse_float(time_text, "time")
-        duration: Optional[float] = _parse_float(duration_text, "duration")
-    else:
-        time = _parse_float(timepart, "time")
-        duration = None
-    return _expand_clause(action, links, time, duration, params)
+    action, linkpart, time_text, duration_text, pairs = split_clause(
+        clause, FaultSpecError
+    )
+    links = _parse_linkspec(linkpart) if linkpart is not None else ()
+    params = split_pairs(pairs, FaultSpecError)
+    if action == "rpc_noise":
+        # The inline keys are the channel spec itself (JSON carries it
+        # as one "spec" field).
+        params = {"spec": ",".join(f"{k}={v}" for k, v in params.items())}
+    texts = {"time": time_text}
+    if duration_text is not None:
+        texts["duration"] = duration_text
+    when = parse_pairs(texts, _WHEN_KEYS, FaultSpecError)
+    return _expand_clause(action, links, when["time"], when.get("duration"), params)
 
 
 def parse_fault_spec(spec: str) -> "FaultSchedule":
@@ -439,6 +378,11 @@ class FaultSchedule:
             if not isinstance(entry, dict):
                 raise FaultSpecError(f"bad fault entry {entry!r}")
             if "links" in entry:
+                optional = {
+                    key: cast(entry[key])
+                    for key, cast in _OPTIONAL_FIELDS
+                    if entry.get(key) is not None
+                }
                 events.append(
                     FaultEvent(
                         time=float(entry["time"]),
@@ -446,21 +390,7 @@ class FaultSchedule:
                         links=tuple(
                             (str(s), str(d)) for s, d in entry["links"]
                         ),
-                        factor=(
-                            float(entry["factor"])
-                            if entry.get("factor") is not None
-                            else None
-                        ),
-                        target=(
-                            str(entry["target"])
-                            if entry.get("target") is not None
-                            else None
-                        ),
-                        spec=(
-                            str(entry["spec"])
-                            if entry.get("spec") is not None
-                            else None
-                        ),
+                        **optional,
                     )
                 )
                 continue
@@ -493,17 +423,11 @@ class FaultSchedule:
                     "time": event.time,
                     "action": event.action,
                     "links": [list(key) for key in event.links],
-                    **(
-                        {"factor": event.factor}
-                        if event.factor is not None
-                        else {}
-                    ),
-                    **(
-                        {"target": event.target}
-                        if event.target is not None
-                        else {}
-                    ),
-                    **({"spec": event.spec} if event.spec is not None else {}),
+                    **{
+                        key: getattr(event, key)
+                        for key, _ in _OPTIONAL_FIELDS
+                        if getattr(event, key) is not None
+                    },
                 }
                 for event in self.events
             ]

@@ -31,23 +31,27 @@ appended mid-stream) and an offline replay of the saved log walk the
 identical RNG path -- which is what keeps the PR 6 live == replay
 bit-for-bit guarantee intact per ``(spec, seed)``.
 
-Spec grammar (``parse_noise_spec``)::
+Spec grammar (``parse_noise_spec``, one table in
+:mod:`repro.core.grammar`)::
 
     sample=4,drop=0.1,burst=0.02x5,delay=0.001,dup=0.01,seed=7
 
-``off`` (or an empty string / ``None``) is the identity channel. Keys
-may appear in any order; unknown keys raise :class:`NoiseSpecError`.
-``burst=PxL`` sets the burst-entry probability ``P`` and burst length
-``L``; ``delay`` is in sim-seconds (scale it to the workload -- the
-scenario grid uses a fraction of the heartbeat period).
+``off`` (or an empty string / ``None``) is the identity channel. Bad
+keys and values raise :class:`NoiseSpecError`. ``burst=PxL`` sets the
+burst-entry probability ``P`` and burst length ``L``; ``delay`` is in
+sim-seconds (scale it to the workload -- the scenario grid uses a
+fraction of the heartbeat period).
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+from ...core import grammar
+from ...core.grammar import NON_NEGATIVE, POSITIVE_COUNT, PROBABILITY, Key
 
 #: Record kinds the channel never degrades and never spends RNG on:
 #: loop-emitted records (skipped by the loop anyway), heartbeats (the
@@ -94,20 +98,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sample < 1:
-            raise NoiseSpecError(f"sample must be >= 1, got {self.sample}")
-        for name in ("drop", "burst", "dup"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise NoiseSpecError(
-                    f"{name} must be a probability in [0, 1], got {value}"
-                )
-        if self.burst_len < 1:
-            raise NoiseSpecError(
-                f"burst_len must be >= 1, got {self.burst_len}"
-            )
-        if self.delay < 0.0:
-            raise NoiseSpecError(f"delay must be >= 0, got {self.delay}")
+        grammar.check(self, NOISE_KEYS, NoiseSpecError)
 
     @property
     def is_noop(self) -> bool:
@@ -122,70 +113,27 @@ class NoiseSpec:
 
     def describe(self) -> str:
         """Round-trippable spec string (``off`` for the identity)."""
-        if self.is_noop:
-            return "off"
-        parts: List[str] = []
-        if self.sample > 1:
-            parts.append(f"sample={self.sample}")
-        if self.drop:
-            parts.append(f"drop={self.drop:g}")
-        if self.burst:
-            parts.append(f"burst={self.burst:g}x{self.burst_len}")
-        if self.delay:
-            parts.append(f"delay={self.delay:g}")
-        if self.dup:
-            parts.append(f"dup={self.dup:g}")
-        parts.append(f"seed={self.seed}")
-        return ",".join(parts)
+        return "off" if self.is_noop else grammar.describe(self, NOISE_KEYS)
 
 
-def parse_noise_spec(
-    spec: Optional[str], seed: Optional[int] = None
-) -> NoiseSpec:
-    """Parse ``key=value,...`` into a :class:`NoiseSpec`.
+#: The ``--noise`` grammar: one row per key (``burst=PxL`` fills two fields).
+NOISE_KEYS = (
+    Key("sample", int, POSITIVE_COUNT),
+    Key("drop", limits=PROBABILITY),
+    Key("burst", limits=PROBABILITY, tail=Key("burst_len", int, POSITIVE_COUNT)),
+    Key("delay", limits=NON_NEGATIVE),
+    Key("dup", limits=PROBABILITY),
+    Key("seed", int, always=True),
+)
+
+
+def parse_noise_spec(spec: object = None, seed: Optional[int] = None) -> NoiseSpec:
+    """Parse ``key=value,...`` (or pass a :class:`NoiseSpec` through).
 
     ``seed`` (when given) overrides any ``seed=`` in the string, so CLI
     ``--seed`` composes with ``--noise`` specs copied from reports.
     """
-    fields: Dict[str, object] = {}
-    text = (spec or "").strip()
-    if text and text != "off":
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise NoiseSpecError(
-                    f"bad noise parameter {part!r} (expected key=value)"
-                )
-            key, _, value = part.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key == "sample":
-                    fields["sample"] = int(value)
-                elif key in ("drop", "delay", "dup"):
-                    fields[key] = float(value)
-                elif key == "burst":
-                    prob, sep, length = value.partition("x")
-                    fields["burst"] = float(prob)
-                    if sep:
-                        fields["burst_len"] = int(length)
-                elif key == "seed":
-                    fields["seed"] = int(value)
-                else:
-                    raise NoiseSpecError(
-                        f"unknown noise key {key!r}; expected sample, drop, "
-                        f"burst, delay, dup, or seed"
-                    )
-            except ValueError as exc:
-                if isinstance(exc, NoiseSpecError):
-                    raise
-                raise NoiseSpecError(
-                    f"bad value {value!r} for noise key {key!r}"
-                ) from None
-    if seed is not None:
-        fields["seed"] = seed
-    return NoiseSpec(**fields)
+    return grammar.parse_spec(NoiseSpec, spec, NOISE_KEYS, NoiseSpecError, seed)
 
 
 class TelemetryChannel:
@@ -209,10 +157,7 @@ class TelemetryChannel:
         spec: Optional[object] = None,
         seed: Optional[int] = None,
     ) -> None:
-        if isinstance(spec, NoiseSpec):
-            self.spec = spec if seed is None else replace(spec, seed=seed)
-        else:
-            self.spec = parse_noise_spec(spec, seed)
+        self.spec = parse_noise_spec(spec, seed)
         self._rng = random.Random(self.spec.seed)
         self._subscribers: List[Callable[[Dict], None]] = []
         #: Per-kind counters for the 1-in-k sampler.

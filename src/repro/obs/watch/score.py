@@ -54,9 +54,7 @@ def scenario_seed(name: str, seed: int = 0) -> int:
 
 
 def _noise_spec(noise) -> Optional[NoiseSpec]:
-    if noise is None:
-        return None
-    spec = noise if isinstance(noise, NoiseSpec) else parse_noise_spec(noise)
+    spec = parse_noise_spec(noise)
     return None if spec.is_noop else spec
 
 
@@ -396,13 +394,7 @@ def aiops_score(
                 r.get("recovered_jct", 0.0) for r in faulty
             ),
         }
-    noise_spec = None
-    if noise is not None:
-        noise_spec = (
-            noise.describe()
-            if isinstance(noise, NoiseSpec)
-            else parse_noise_spec(noise).describe()
-        )
+    noise_spec = None if noise is None else parse_noise_spec(noise).describe()
     return {
         "version": AIOPS_SCORE_VERSION,
         "scheduler": scheduler,

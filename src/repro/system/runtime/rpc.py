@@ -16,22 +16,25 @@ same message append the attempt number to the id, so attempt *k* of a
 registration draws the same fate in a live run and in a replay -- which
 is what keeps live == replay bit-for-bit per ``(spec, seed)``.
 
-Spec grammar (``parse_rpc_spec``), mirroring the telemetry
-``NoiseSpec`` grammar from :mod:`repro.obs.watch.channel`::
+Spec grammar (``parse_rpc_spec``, one table in
+:mod:`repro.core.grammar`, like the telemetry ``NoiseSpec``)::
 
     drop=0.1,delay=0.002,dup=0.01,timeout=0.05,retries=3,backoff=0.01,seed=7
 
 ``off`` (or an empty string / ``None``) is the identity channel:
 nothing is dropped, delayed, or duplicated, and the runtime runs in
 passive mode (one coordinator allocation per scheduling round).
-Unknown keys raise :class:`RpcSpecError`.
+Bad keys and values raise :class:`RpcSpecError`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
+
+from ...core import grammar
+from ...core.grammar import NON_NEGATIVE, PROBABILITY, Key, Range
 
 
 class RpcSpecError(ValueError):
@@ -58,24 +61,7 @@ class RpcSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("drop", "dup"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise RpcSpecError(
-                    f"{name} must be a probability in [0, 1], got {value}"
-                )
-        if self.drop >= 1.0:
-            raise RpcSpecError(
-                "drop must be < 1.0 (a channel that loses everything "
-                "can never deliver, even with retries)"
-            )
-        for name in ("delay", "timeout", "backoff"):
-            if getattr(self, name) < 0.0:
-                raise RpcSpecError(
-                    f"{name} must be >= 0, got {getattr(self, name)}"
-                )
-        if self.retries < 0:
-            raise RpcSpecError(f"retries must be >= 0, got {self.retries}")
+        grammar.check(self, RPC_KEYS, RpcSpecError)
 
     @property
     def is_noop(self) -> bool:
@@ -89,66 +75,29 @@ class RpcSpec:
 
     def describe(self) -> str:
         """Round-trippable spec string (``off`` for the identity)."""
-        if self.is_noop:
-            return "off"
-        parts: List[str] = []
-        if self.drop:
-            parts.append(f"drop={self.drop:g}")
-        if self.delay:
-            parts.append(f"delay={self.delay:g}")
-        if self.dup:
-            parts.append(f"dup={self.dup:g}")
-        parts.append(f"timeout={self.timeout:g}")
-        parts.append(f"retries={self.retries}")
-        parts.append(f"backoff={self.backoff:g}")
-        parts.append(f"seed={self.seed}")
-        return ",".join(parts)
-
-    def with_seed(self, seed: int) -> "RpcSpec":
-        """Copy of this spec with the seed replaced."""
-        return replace(self, seed=seed)
+        return "off" if self.is_noop else grammar.describe(self, RPC_KEYS)
 
 
-def parse_rpc_spec(spec: Optional[str], seed: Optional[int] = None) -> RpcSpec:
-    """Parse ``key=value,...`` into an :class:`RpcSpec`.
+#: The ``rpc=`` grammar. ``drop`` stays below 1: a channel that loses
+#: everything can never deliver, even with retries.
+RPC_KEYS = (
+    Key("drop", limits=Range(0.0, 1.0, "[)")),
+    Key("delay", limits=NON_NEGATIVE),
+    Key("dup", limits=PROBABILITY),
+    Key("timeout", limits=NON_NEGATIVE, always=True),
+    Key("retries", int, NON_NEGATIVE, always=True),
+    Key("backoff", limits=NON_NEGATIVE, always=True),
+    Key("seed", int, always=True),
+)
+
+
+def parse_rpc_spec(spec: object = None, seed: Optional[int] = None) -> RpcSpec:
+    """Parse ``key=value,...`` (or pass an :class:`RpcSpec` through).
 
     ``seed`` (when given) overrides any ``seed=`` in the string, so CLI
     ``--seed`` composes with specs copied from reports.
     """
-    if isinstance(spec, RpcSpec):
-        return spec if seed is None else spec.with_seed(seed)
-    fields: Dict[str, object] = {}
-    text = (spec or "").strip()
-    if text and text != "off":
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise RpcSpecError(
-                    f"bad rpc parameter {part!r} (expected key=value)"
-                )
-            key, _, value = part.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key in ("drop", "delay", "dup", "timeout", "backoff"):
-                    fields[key] = float(value)
-                elif key in ("retries", "seed"):
-                    fields[key] = int(value)
-                else:
-                    raise RpcSpecError(
-                        f"unknown rpc key {key!r}; expected drop, delay, "
-                        f"dup, timeout, retries, backoff, or seed"
-                    )
-            except ValueError as exc:
-                if isinstance(exc, RpcSpecError):
-                    raise
-                raise RpcSpecError(
-                    f"bad value {value!r} for rpc key {key!r}"
-                ) from None
-    if seed is not None:
-        fields["seed"] = seed
-    return RpcSpec(**fields)
+    return grammar.parse_spec(RpcSpec, spec, RPC_KEYS, RpcSpecError, seed)
 
 
 @dataclass(frozen=True)

@@ -506,9 +506,8 @@ class ControlPlaneRuntime:
                     agent.partitioned = False
             self._emit("partition_heal", now, agent=event.target)
         elif action == "rpc_noise":
-            parsed = parse_rpc_spec(event.spec)
-            if "seed" not in (event.spec or ""):
-                parsed = parsed.with_seed(self.base_spec.seed)
+            seed = None if "seed" in (event.spec or "") else self.base_spec.seed
+            parsed = parse_rpc_spec(event.spec, seed)
             self.channel = RpcChannel(parsed)
             self._emit("rpc_noise", now, spec=parsed.describe())
         elif action == "rpc_restore":

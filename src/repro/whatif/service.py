@@ -206,23 +206,17 @@ class WhatIfService:
             self._apply_remove(engine, query.arg)
             return (), (query.arg,), {}
         # submit_job / add_tenant
-        copies = 1
-        if query.kind == "add_tenant":
-            copies = int(query.options.get("jobs", "2"))
-            if copies < 1:
-                raise WhatIfError(f"jobs={copies} must be >= 1")
-        layers = int(query.options.get("layers", "8"))
-        hosts = int(query.options.get("hosts", "0"))
+        params = query.params
         builder = cluster_job_builder(engine, self._hosts_per_job)
         added: List[str] = []
         extra: Dict[str, float] = {}
-        for copy in range(copies):
+        for copy in range(params.jobs):
             # Deterministic ids: every variant engine is a private fork,
             # so ids only need to be unique *within* one variant -- and
             # placement hashes the id, so the same query must get the
             # same id (and hosts) in warm, cold, and repeated runs.
             job_id = f"wi-{query.arg}{copy}"
-            job = builder(query.arg, job_id, layers=layers, hosts=hosts)
+            job = builder(query.arg, job_id, layers=params.layers, hosts=params.hosts)
             job.submit_to(engine, at_time=when)
             added.append(job_id)
             extra[job_id] = when
@@ -236,8 +230,7 @@ class WhatIfService:
         if duration is not None:
             spec += f"+{duration!r}"
         if action == "degrade":
-            factor = float(query.options.get("factor", "0.5"))
-            spec += f",factor={factor!r}"
+            spec += f",factor={query.params.factor!r}"
         try:
             injector = FaultInjector(parse_fault_spec(spec))
             injector.attach(engine)

@@ -12,6 +12,8 @@ forks replay memoized decisions (a fork carries its parent's previous
 allocation over).
 """
 
+import copy
+
 import pytest
 
 from repro.core import FlowIdAllocator, use_flow_id_allocator
@@ -37,8 +39,12 @@ def checked(monkeypatch):
     """Compare every profiled decision's count with the oracle's."""
     allocate = ProfiledScheduler.allocate
     fork = ProfiledScheduler.fork
-    #: profiler (forks included) -> copy of its previous allocation.
+    #: profiler (forks and deep copies included) -> copy of its previous
+    #: allocation.
     copies = {}
+    #: Deep copies the sanitizer's twin oracle replays a decision on;
+    #: their decisions are checked but not counted as the engine's.
+    shadows = set()
     seen = {"decisions": 0, "changed": 0, "forks": 0}
 
     def checked_allocate(self, view):
@@ -49,8 +55,9 @@ def checked(monkeypatch):
         assert record.rates_changed == expected
         assert record.churn == expected / max(1, len(rates))
         copies[self] = dict(rates)
-        seen["decisions"] += 1
-        seen["changed"] += expected
+        if self not in shadows:
+            seen["decisions"] += 1
+            seen["changed"] += expected
         return rates
 
     def checked_fork(self):
@@ -59,8 +66,21 @@ def checked(monkeypatch):
         seen["forks"] += 1
         return twin
 
+    def checked_deepcopy(self, memo):
+        # Under REPRO_CHECK=strict the twin oracle deep-copies the
+        # scheduler; like a fork, the copy starts from the original's
+        # previous allocation.
+        twin = memo[id(self)] = object.__new__(type(self))
+        twin.__dict__.update(copy.deepcopy(vars(self), memo))
+        copies[twin] = dict(copies.get(self, {}))
+        shadows.add(twin)
+        return twin
+
     monkeypatch.setattr(ProfiledScheduler, "allocate", checked_allocate)
     monkeypatch.setattr(ProfiledScheduler, "fork", checked_fork)
+    monkeypatch.setattr(
+        ProfiledScheduler, "__deepcopy__", checked_deepcopy, raising=False
+    )
     return seen
 
 
